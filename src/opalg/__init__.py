@@ -7,7 +7,7 @@ models (Hurwitz series and scalar operators) used as soundness oracles.
 """
 
 from .coeff import Scalar, InvalidWeight, PoleAtWeight
-from .terms import Operator, OpApp, Word, Context, OP_D, OP_P, find_occurrences
+from .terms import Operator, OpApp, Word, Context, OP_D, OP_P
 from .order import compare, compare_explain, LESS, EQUAL, GREATER
 from .poly import OpPolynomial, ZeroPolynomial
 from .rewrite import (
@@ -15,6 +15,7 @@ from .rewrite import (
     Match,
     Step,
     match_rule,
+    find_occurrences,
     reduce_once,
     normal_form,
     is_irreducible,

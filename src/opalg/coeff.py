@@ -150,12 +150,6 @@ class Scalar:
     def is_one(self):
         return self.num == (_F1,) and self.den == (_F1,)
 
-    def as_rational(self):
-        """Return self as a Fraction if it is constant, else None."""
-        if len(self.num) <= 1 and self.den == (_F1,):
-            return self.num[0] if self.num else _F0
-        return None
-
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):

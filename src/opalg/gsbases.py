@@ -47,13 +47,13 @@ single non-trivial composition is a definitive refutation of completeness.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .coeff import Scalar
 from . import coeff
 from .poly import OpPolynomial
-from .rewrite import RuleSchema, normal_form
-from .terms import OP_D, OP_P, Context, Word, find_occurrences
+from .rewrite import RuleSchema, RuleValidationError, find_occurrences, normal_form
+from .terms import OP_D, OP_P, Context, Word
 
 __all__ = [
     "TheoryPreset",
@@ -332,7 +332,7 @@ def including_compositions(f, g, left="f", right="g", scenario=None):
 
 
 def check_triviality(h, rules, omega, step_limit=None):
-    """Reduce a composition, asserting it stays strictly below its ambiguity.
+    """Reduce a composition, checking it stays strictly below its ambiguity.
 
     Returns (trivial, steps, normal_form): trivial means the normal form is
     zero, in which case the trace is an explicit representation of h by
@@ -346,7 +346,8 @@ def check_triviality(h, rules, omega, step_limit=None):
         kwargs["step_limit"] = step_limit
     res = normal_form(h, rules, **kwargs)
     for s in res.steps:
-        assert s.redex < omega
+        if not s.redex < omega:
+            raise MonomialNotBelowAmbiguity(f"redex {s.redex} not below ambiguity {omega}")
     return res.poly.is_zero(), res.steps, res.poly
 
 
@@ -425,7 +426,10 @@ def _binding_menus(variables, base_letters, extra_values, with_unit):
 def _instantiate(rule, binding):
     inst = rule.instantiate(binding)
     lead, c = inst.leading()
-    assert lead == rule.lhs_instance(binding) and c.is_one()
+    if lead != rule.lhs_instance(binding) or not c.is_one():
+        raise RuleValidationError(
+            f"rule {rule.name}: instance does not lead with its pattern instance"
+        )
     return inst
 
 
@@ -438,16 +442,11 @@ def pair_reports(theory, left, right, cfg):
 
     def record(reports):
         for r in reports:
-            extra = r.context.key if r.context is not None else (r.mu.key, r.nu.key)
-            key = (r.kind, r.ambiguity.key, extra, r.f_inst, r.g_inst)
+            key = (r.sort_token, r.f_inst, r.g_inst)
             if key in found:
                 continue
             trivial, steps, nf = check_triviality(r.composition, rules, r.ambiguity)
-            found[key] = CompositionReport(
-                r.left, r.right, r.kind, r.ambiguity, r.f_inst, r.g_inst,
-                r.composition, context=r.context, mu=r.mu, nu=r.nu,
-                trivial=trivial, normal_form=nf, steps=steps, scenario=r.scenario,
-            )
+            found[key] = replace(r, trivial=trivial, normal_form=nf, steps=steps)
 
     # plain scenarios: f on fresh letters, g sharing f's letters or fresh
     f_base = [Word.letter(l) for l in _F_LETTERS[: len(f_rule.variables)]]

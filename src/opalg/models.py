@@ -36,6 +36,7 @@ __all__ = [
     "TruncatedPoly",
     "HurwitzSeries",
     "constrained_series",
+    "OperatorModel",
     "DegenerateModel",
     "XiModel",
     "HurwitzConstrainedModel",
@@ -253,10 +254,13 @@ def constrained_series(ring, weight, seed, window):
 # models
 # ---------------------------------------------------------------------------
 
-class DegenerateModel:
-    """d(x) = -(1/w) x and P(x) = -w x on any commutative carrier ring."""
+class OperatorModel:
+    """Operators d and P on a commutative carrier ring, for a nonzero weight.
 
-    name = "degenerate"
+    The base owns the ring arithmetic; subclasses give ``name`` and the
+    operators ``d`` and ``p``, with ``None`` for an operator they lack.
+    """
+
     has_unit = True
 
     def __init__(self, ring, weight):
@@ -279,6 +283,18 @@ class DegenerateModel:
 
     def zero(self):
         return self.ring.zero()
+
+    def sample(self, rng):
+        return self.ring.sample(rng)
+
+    def equal(self, a, b):
+        return a == b
+
+
+class DegenerateModel(OperatorModel):
+    """d(x) = -(1/w) x and P(x) = -w x on any commutative carrier ring."""
+
+    name = "degenerate"
 
     def d(self, a):
         return (-1 / self.weight) * a
@@ -286,71 +302,30 @@ class DegenerateModel:
     def p(self, a):
         return -self.weight * a
 
-    def sample(self, rng):
-        return self.ring.sample(rng)
-
-    def equal(self, a, b):
-        return a == b
-
 
 class XiModel(DegenerateModel):
     """Operators induced by the quasi-idempotent element xi = -w:
-    P(x) = xi*x and d(x) = x/xi."""
+    P(x) = xi*x and d(x) = x/xi, which is the degenerate model."""
 
     name = "xi"
 
-    def __init__(self, ring, weight):
-        super().__init__(ring, weight)
-        self.xi = -self.weight
 
-    def d(self, a):
-        return (1 / self.xi) * a
-
-    def p(self, a):
-        return self.xi * a
-
-
-class LeftMultiplicationModel:
+class LeftMultiplicationModel(OperatorModel):
     """P(x) = a*x for a fixed element a; a Nijenhuis operator that is not
     quasi-idempotent unless a*a = -w*a.  No differential operator."""
 
     name = "left-multiplication"
-    has_unit = True
     d = None
 
     def __init__(self, ring, weight, a):
-        self.ring = ring
-        self.weight = Fraction(weight)
-        if self.weight == 0:
-            raise InvalidWeight("weight must be nonzero")
+        super().__init__(ring, weight)
         self.a = a
-
-    def one(self):
-        return self.ring.one()
-
-    def mul(self, a, b):
-        return a * b
-
-    def add(self, a, b):
-        return a + b
-
-    def scale(self, k, a):
-        return k * a
-
-    def zero(self):
-        return self.ring.zero()
 
     def p(self, x):
         return self.a * x
 
-    def sample(self, rng):
-        return self.ring.sample(rng)
 
-    def equal(self, a, b):
-        return a == b
-
-
-class HurwitzConstrainedModel:
+class HurwitzConstrainedModel(OperatorModel):
     """The constrained sequences with the shift as d and the weighted
     right shift as P, under the full binomial product.  Nonunital."""
 
@@ -358,20 +333,11 @@ class HurwitzConstrainedModel:
     has_unit = False
 
     def __init__(self, ring, weight, window=8):
-        self.ring = ring
-        self.weight = Fraction(weight)
-        if self.weight == 0:
-            raise InvalidWeight("weight must be nonzero")
+        super().__init__(ring, weight)
         self.window = window
 
     def one(self):
         raise NonunitalModel("the constrained sequence algebra has no unit")
-
-    def mul(self, a, b):
-        return a * b
-
-    def add(self, a, b):
-        return a + b
 
     def scale(self, k, a):
         return a.scale(k)
@@ -399,10 +365,6 @@ class HurwitzConstrainedModel:
 # ---------------------------------------------------------------------------
 # axiom checking
 # ---------------------------------------------------------------------------
-
-def _eq(model, a, b):
-    return model.equal(a, b)
-
 
 def check_axioms(model, samples=50, seed=0, rng=None):
     """Exactly evaluate the defining identities on random elements.
@@ -439,10 +401,10 @@ def check_axioms(model, samples=50, seed=0, rng=None):
         run("nijenhuis", lambda: _nijenhuis_once(model, x(), x()))
         run("p_tilde_quasi_idem", lambda: _p_tilde_once(model, w, x()))
     if has_d and has_p:
-        run("d_after_p", lambda: _eq(model, model.d(model.p(a := x())), a))
+        run("d_after_p", lambda: model.equal(model.d(model.p(a := x())), a))
     if has_d and getattr(model, "has_unit", False):
         d_one = model.d(model.one())
-        degenerate = not _eq(model, d_one, model.zero())
+        degenerate = not model.equal(d_one, model.zero())
         results["d_unit_zero"] = not degenerate
         if degenerate:
             notes.append("d(1) != 0: degenerate differential operator")
@@ -457,11 +419,11 @@ def _leibniz_once(model, w, a, b):
         model.add(model.mul(da, b), model.mul(a, db)),
         model.scale(w, model.mul(da, db)),
     )
-    return _eq(model, lhs, rhs)
+    return model.equal(lhs, rhs)
 
 
 def _d_quasi_once(model, w, a):
-    return _eq(model, model.d(model.d(a)), model.scale(-1 / w, model.d(a)))
+    return model.equal(model.d(model.d(a)), model.scale(-1 / w, model.d(a)))
 
 
 def _rb_once(model, w, a, b):
@@ -471,11 +433,11 @@ def _rb_once(model, w, a, b):
         model.add(model.p(model.mul(a, pb)), model.p(model.mul(pa, b))),
         model.scale(w, model.p(model.mul(a, b))),
     )
-    return _eq(model, lhs, rhs)
+    return model.equal(lhs, rhs)
 
 
 def _p_quasi_once(model, w, a):
-    return _eq(model, model.p(model.p(a)), model.scale(-w, model.p(a)))
+    return model.equal(model.p(model.p(a)), model.scale(-w, model.p(a)))
 
 
 def _nijenhuis_once(model, a, b):
@@ -485,14 +447,14 @@ def _nijenhuis_once(model, a, b):
         model.add(model.p(model.mul(a, pb)), model.p(model.mul(pa, b))),
         model.scale(-1, model.p(model.p(model.mul(a, b)))),
     )
-    return _eq(model, lhs, rhs)
+    return model.equal(lhs, rhs)
 
 
 def _p_tilde_once(model, w, a):
     def ptilde(x):
         return model.add(model.scale(-w, x), model.scale(-1, model.p(x)))
 
-    return _eq(model, ptilde(ptilde(a)), model.scale(-w, ptilde(a)))
+    return model.equal(ptilde(ptilde(a)), model.scale(-w, ptilde(a)))
 
 
 # ---------------------------------------------------------------------------

@@ -14,16 +14,11 @@ comparison surface.
 
 from __future__ import annotations
 
-__all__ = ["LESS", "EQUAL", "GREATER", "compare", "compare_explain", "sort_key"]
+__all__ = ["LESS", "EQUAL", "GREATER", "compare", "compare_explain"]
 
 LESS = -1
 EQUAL = 0
 GREATER = 1
-
-
-def sort_key(word):
-    """A key usable with sorted(); equal keys mean equal words."""
-    return word.key
 
 
 def compare(u, v):

@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 
 from .poly import OpPolynomial
-from .terms import Context, Word, positions, substitute_letters
+from .terms import Context, Word, _tuple_subtract, positions, substitute_letters
 
 __all__ = [
     "RuleSchema",
@@ -29,6 +29,7 @@ __all__ = [
     "Step",
     "NFResult",
     "match_rule",
+    "find_occurrences",
     "reduce_once",
     "normal_form",
     "is_irreducible",
@@ -179,11 +180,11 @@ def _match_exact(pattern, target, varset, binding):
     """Bindings making pattern cover all of target, at one operator argument."""
     concrete = tuple(l for l in pattern.letters if l not in varset)
     bare_vars = [l for l in pattern.letters if l in varset]
-    rest_letters = _subtract_sorted(target.letters, concrete)
+    rest_letters = _tuple_subtract(target.letters, concrete)
     if rest_letters is None:
         return []
     out = []
-    for bnd, used in _assign_ops(list(pattern.ops), target.ops, varset, binding):
+    for bnd, used in _assign_ops(pattern.ops, target.ops, varset, binding):
         leftover_ops = tuple(
             f for i, f in enumerate(target.ops) if i not in used
         )
@@ -196,14 +197,17 @@ def _match_exact(pattern, target, varset, binding):
             if rest_letters or leftover_ops:
                 continue
             out.append(bnd)
-    return _dedup_bindings(out)
+    return out
 
 
 def _assign_ops(pat_ops, target_ops, varset, binding, used=frozenset()):
     """Injective assignments of pattern operator factors to target factors.
 
     Identical target factors are interchangeable, so only the first free one
-    is tried; this keeps the result list duplicate-free.
+    is tried.  This is the only deduplication the matcher needs: patterns are
+    linear, so a binding fixes the image of every pattern factor, and two
+    assignments can give the same match only by exchanging identical target
+    factors, which this rule never does.
     """
     if not pat_ops:
         return [(binding, used)]
@@ -219,57 +223,28 @@ def _assign_ops(pat_ops, target_ops, varset, binding, used=frozenset()):
     return out
 
 
-def _subtract_sorted(a, b):
-    if not b:
-        return a
-    out = []
-    ia, ib = 0, 0
-    while ia < len(a) and ib < len(b):
-        if a[ia] == b[ib]:
-            ia += 1
-            ib += 1
-        else:
-            out.append(a[ia])
-            ia += 1
-    if ib < len(b):
-        return None
-    out.extend(a[ia:])
-    if len(out) != len(a) - len(b):
-        return None
-    return tuple(out)
-
-
-def _dedup_bindings(bindings):
-    seen = set()
-    out = []
-    for b in bindings:
-        key = tuple(sorted((v, w.key) for v, w in b.items()))
-        if key not in seen:
-            seen.add(key)
-            out.append(b)
-    return out
-
-
-def _match_at_level(rule, level):
+def _match_at_level(pattern, level, varset):
     """(binding, leftover word) pairs matching the pattern into one level."""
-    varset = set(rule.variables)
-    lhs = rule.lhs
-    rest_letters = _subtract_sorted(level.letters, lhs.letters)
-    if rest_letters is None or len(lhs.ops) > len(level.ops):
+    rest_letters = _tuple_subtract(level.letters, pattern.letters)
+    if rest_letters is None or len(pattern.ops) > len(level.ops):
         return []
     out = []
-    seen = set()
-    for bnd, used in _assign_ops(list(lhs.ops), level.ops, varset, {}):
+    for bnd, used in _assign_ops(pattern.ops, level.ops, varset, {}):
         leftover = Word(
             rest_letters, tuple(f for i, f in enumerate(level.ops) if i not in used)
         )
-        key = (
-            tuple(sorted((v, w.key) for v, w in bnd.items())),
-            leftover.key,
-        )
-        if key not in seen:
-            seen.add(key)
-            out.append((bnd, leftover))
+        out.append((bnd, leftover))
+    return out
+
+
+def _occurrences(m, pattern, varset):
+    """Every (context, binding) at which pattern occurs in m, unsorted."""
+    out = []
+    for spine, sub in positions(m):
+        for binding, leftover in _match_at_level(pattern, sub, varset):
+            cofactors = [s for s, _ in spine]
+            cofactors.append(leftover)
+            out.append((Context(cofactors, tuple(op for _, op in spine)), binding))
     return out
 
 
@@ -283,17 +258,28 @@ def match_rule(m, rule):
     cached = _MATCH_CACHE.get(key)
     if cached is not None:
         return cached
-    out = []
-    for spine, sub in positions(m):
-        for binding, leftover in _match_at_level(rule, sub):
-            cofactors = [s for s, _ in spine]
-            cofactors.append(leftover)
-            ctx = Context(cofactors, tuple(op for _, op in spine))
-            out.append(Match(rule, ctx, binding))
+    out = [
+        Match(rule, ctx, binding)
+        for ctx, binding in _occurrences(m, rule.lhs, set(rule.variables))
+    ]
     out.sort(key=lambda mt: mt.key)
     if len(_MATCH_CACHE) > _MATCH_CACHE_LIMIT:
         _MATCH_CACHE.clear()
     _MATCH_CACHE[key] = out
+    return out
+
+
+def find_occurrences(m, target):
+    """All contexts q with q|_target == m, complete and duplicate-free.
+
+    These are the matches of the variable-free pattern ``target``.  They are
+    not memoised: callers ask once per throwaway word.  ``target`` must not
+    be the unit word.
+    """
+    if target.is_unit():
+        raise ValueError("occurrence target must not be the unit word")
+    out = [ctx for ctx, _ in _occurrences(m, target, frozenset())]
+    out.sort(key=lambda c: c.key)
     return out
 
 

@@ -32,7 +32,6 @@ __all__ = [
     "Context",
     "OP_D",
     "OP_P",
-    "find_occurrences",
     "substitute_letters",
 ]
 
@@ -166,10 +165,6 @@ class Word:
 
     # -- multiset operations --------------------------------------------------
 
-    def contains(self, other):
-        """Whether other's factor multiset is contained in self's."""
-        return self.subtract(other) is not None
-
     def subtract(self, other):
         """Multiset difference of factors, or None if not contained."""
         letters = _tuple_subtract(self.letters, other.letters)
@@ -250,7 +245,8 @@ class Context:
     def __init__(self, cofactors, ops):
         cofactors = tuple(cofactors)
         ops = tuple(ops)
-        assert len(cofactors) == len(ops) + 1
+        if len(cofactors) != len(ops) + 1:
+            raise ValueError("a context needs one more cofactor than operators")
         key = (
             tuple((o.rank, o.name) for o in ops),
             tuple(c.key for c in cofactors),
@@ -325,28 +321,6 @@ def positions(word):
         sibling = word.subtract(Word((), (f,)))
         for spine, sub in positions(f.arg):
             yield [(sibling, f.op)] + spine, sub
-
-
-def _context_from(spine, leftover):
-    cofactors = [s for s, _ in spine]
-    cofactors.append(leftover)
-    return Context(cofactors, tuple(op for _, op in spine))
-
-
-def find_occurrences(m, target):
-    """All contexts q with q|_target == m, complete and duplicate-free.
-
-    ``target`` must not be the unit word.
-    """
-    if target.is_unit():
-        raise ValueError("occurrence target must not be the unit word")
-    out = []
-    for spine, sub in positions(m):
-        leftover = sub.subtract(target)
-        if leftover is not None:
-            out.append(_context_from(spine, leftover))
-    out.sort(key=lambda c: c.key)
-    return out
 
 
 def substitute_letters(word, mapping):

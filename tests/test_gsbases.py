@@ -3,8 +3,10 @@ import random
 import pytest
 
 from opalg.cli import parse_polynomial as P, parse_word as W
+from opalg import coeff
 from opalg.gsbases import (
     MonomialNotBelowAmbiguity,
+    TheoryPreset,
     VerifyConfig,
     broken_rb,
     check_triviality,
@@ -18,7 +20,7 @@ from opalg.gsbases import (
     verify_gs,
 )
 from opalg.poly import OpPolynomial
-from opalg.rewrite import is_irreducible, normal_form
+from opalg.rewrite import RuleSchema, RuleValidationError, is_irreducible, normal_form
 from opalg.sampling import random_polynomial
 from opalg.terms import OP_D, OP_P, Word
 
@@ -96,6 +98,24 @@ def test_check_triviality_zero_and_nonzero():
 def test_check_triviality_rejects_large_monomials():
     with pytest.raises(MonomialNotBelowAmbiguity):
         check_triviality(P("d(d(x))"), D.rules, W("d(x)"))
+
+
+def test_verify_rejects_order_incompatible_rule():
+    # p(d(v)*u) leads p(d(u)*v) as a pattern, but not on the instance at
+    # u = z, v = w; the check must hold under python -O as well
+    u, v = Word.letter("u"), Word.letter("v")
+    bad = RuleSchema(
+        "bad",
+        ("u", "v"),
+        OpPolynomial(
+            (
+                ((v.apply(OP_D) * u).apply(OP_P), coeff.ONE),
+                ((u.apply(OP_D) * v).apply(OP_P), coeff.ONE),
+            )
+        ),
+    )
+    with pytest.raises(RuleValidationError):
+        verify_gs(TheoryPreset("bad", (bad,), (OP_D, OP_P)), VerifyConfig(1, 1, False))
 
 
 def test_rb_verifies_completely():

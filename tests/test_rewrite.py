@@ -5,7 +5,7 @@ import pytest
 from opalg import coeff
 from opalg.coeff import Scalar
 from opalg.cli import parse_polynomial as P
-from opalg.gsbases import preset
+from opalg.gsbases import PRESETS, preset
 from opalg.poly import OpPolynomial
 from opalg.rewrite import (
     RuleSchema,
@@ -19,7 +19,7 @@ from opalg.rewrite import (
     normal_form,
     reduce_once,
 )
-from opalg.sampling import random_polynomial
+from opalg.sampling import random_polynomial, random_word
 from opalg.terms import OP_D, OP_P, Context, Word
 
 D_THEORY = preset("d")
@@ -49,6 +49,18 @@ def test_match_symmetric_pattern_two_bindings():
 def test_match_equal_factors_deduplicated():
     matches = match_rule(d(X) * d(X), D_THEORY.rule("d_leibniz"))
     assert len(matches) == 1
+    # repeated factors at the top level and inside an argument, against
+    # every rule of every preset: no match may be reported twice
+    rules = {rule for theory in PRESETS.values() for rule in theory.rules}
+    rng = random.Random(41)
+    words = []
+    for _ in range(60):
+        w = random_word(rng, 4, ("x", "y"), (OP_D, OP_P))
+        words.extend((w * w, d(w * w)))
+    for m in words:
+        for rule in rules:
+            keys = [mt.key for mt in match_rule(m, rule)]
+            assert len(set(keys)) == len(keys), (str(m), rule.name)
 
 
 def test_match_tower():
