@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -335,16 +336,29 @@ def _resolve_theory(token):
 # report serialization
 # ---------------------------------------------------------------------------
 
-def _step_json(step):
+def _step_json(step, before, after):
     return {
         "rule": step.rule.name,
         "context": str(step.context),
         "binding": {v: format_word(w) for v, w in sorted(step.binding.items())},
         "redex": format_word(step.redex),
         "coefficient": str(step.coefficient),
-        "before": format_polynomial(step.before),
-        "after": format_polynomial(step.after),
+        "before": format_polynomial(before),
+        "after": format_polynomial(after),
     }
+
+
+def _steps_json(f, steps):
+    """Step records, with the polynomial before and after each step rebuilt
+    by replaying the steps from the input ``f``."""
+    out = []
+    before = f
+    for s in steps:
+        inst = s.rule.instantiate(s.binding).in_context(s.context)
+        after = before - inst.scale(s.coefficient)
+        out.append(_step_json(s, before, after))
+        before = after
+    return out
 
 
 def _report_json(r):
@@ -399,13 +413,13 @@ def _cmd_nf(args):
         payload = {
             "input": format_polynomial(f),
             "normal_form": format_polynomial(nf),
-            "steps": [_step_json(s) for s in res.steps],
+            "steps": _steps_json(f, res.steps),
         }
         print(json.dumps(payload, indent=2))
     else:
         print(format_polynomial(nf))
         if args.trace:
-            print(json.dumps([_step_json(s) for s in res.steps], indent=2))
+            print(json.dumps(_steps_json(f, res.steps), indent=2))
     return 0
 
 
@@ -610,9 +624,31 @@ def _build_argparser():
     return parser
 
 
+_NEGATIVE_VALUE = re.compile(r"-[0-9.]")
+
+
+def _attach_negative_weights(argv):
+    """Join ``--lambda -2/7`` into ``--lambda=-2/7``.
+
+    argparse takes only plain negative numbers such as ``-2`` for option
+    values; any other token starting with ``-`` reads as an option.
+    """
+    out = []
+    prev = None
+    for tok in argv:
+        if prev == "--lambda" and _NEGATIVE_VALUE.match(tok):
+            out[-1] = f"--lambda={tok}"
+        else:
+            out.append(tok)
+        prev = tok
+    return out
+
+
 def main(argv=None):
     parser = _build_argparser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = parser.parse_args(_attach_negative_weights(argv))
     try:
         return args.fn(args)
     except (ParseError, RuleValidationError, InvalidWeight, PoleAtWeight,
@@ -622,6 +658,9 @@ def main(argv=None):
         return 2
     except (StepLimitExceeded, BoundExceeded) as exc:
         print(f"limit: {exc}", file=sys.stderr)
+        return 3
+    except RecursionError:
+        print("limit: nesting too deep for the recursion limit", file=sys.stderr)
         return 3
 
 

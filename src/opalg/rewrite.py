@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 from .poly import OpPolynomial
 from .terms import Context, Word, _tuple_subtract, positions, substitute_letters
@@ -155,15 +156,17 @@ class Match:
 
 @dataclass(frozen=True)
 class Step:
-    """One rewrite: coefficient * context[pattern instance] was replaced."""
+    """One rewrite: coefficient * context[pattern instance] was replaced.
+
+    The polynomials around a step are not kept: replaying the steps from the
+    input rebuilds them, as ``certificate_sum`` does for their difference.
+    """
 
     rule: RuleSchema
     context: Context
     binding: dict
     redex: Word
     coefficient: object
-    before: OpPolynomial
-    after: OpPolynomial
 
 
 @dataclass(frozen=True)
@@ -304,7 +307,7 @@ def _apply(f, word, match):
     rhs_inst = match.rule.rhs_instance(match.binding)
     repl_poly = rhs_inst.in_context(match.context).scale(c)
     after = f - OpPolynomial.from_word(word, c) + repl_poly
-    return after, c
+    return after, Step(match.rule, match.context, match.binding, word, c)
 
 
 def reduce_once(f, rules, strategy="leading", rng=None):
@@ -314,9 +317,7 @@ def reduce_once(f, rules, strategy="leading", rng=None):
             for rule in rules:
                 matches = match_rule(word, rule)
                 if matches:
-                    match = matches[0]
-                    after, c = _apply(f, word, match)
-                    return after, Step(rule, match.context, match.binding, word, c, f, after)
+                    return _apply(f, word, matches[0])
         return f, None
     if strategy == "random":
         if rng is None:
@@ -329,9 +330,77 @@ def reduce_once(f, rules, strategy="leading", rng=None):
         if not candidates:
             return f, None
         word, match = candidates[rng.randrange(len(candidates))]
-        after, c = _apply(f, word, match)
-        return after, Step(match.rule, match.context, match.binding, word, c, f, after)
+        return _apply(f, word, match)
     raise ValueError(f"unknown strategy {strategy!r}")
+
+
+class _Pending:
+    """Max-heap entry: orders words by descending term order."""
+
+    __slots__ = ("key", "word")
+
+    def __init__(self, word):
+        self.key = word.key
+        self.word = word
+
+    def __lt__(self, other):
+        return self.key > other.key
+
+
+def _leading_normal_form(f, rules, step_limit, collect_steps):
+    """The ``leading`` normal form, by a heap of pending words.
+
+    ``pending`` holds the terms not yet looked at and ``done`` the
+    irreducible ones.  Each step adds only words strictly below its redex,
+    so a word moved to ``done`` never comes back, and the greatest pending
+    word whose rules match is the greatest reducible word of the whole
+    polynomial: the redex ``reduce_once`` would pick, rewritten the same
+    way.  A heap entry whose word is no longer pending (cancelled to zero,
+    or a duplicate pushed after a cancellation) is skipped.  See Monagan &
+    Pearce, "Sparse polynomial division using a heap" (JSC 2011).
+    """
+    pending = {w: f.coefficient(w) for w in f.monomials()}
+    heap = [_Pending(w) for w in pending]
+    heapify(heap)
+    done = {}
+    steps = []
+    count = 0
+    while heap:
+        word = heappop(heap).word
+        c = pending.pop(word, None)
+        if c is None:
+            continue
+        for rule in rules:
+            matches = match_rule(word, rule)
+            if matches:
+                break
+        else:
+            done[word] = c
+            continue
+        match = matches[0]
+        repl = rule.rhs_instance(match.binding).in_context(match.context)
+        for w in repl.monomials():
+            if not w < word:
+                raise RuleValidationError(
+                    f"rule {rule.name}: instance monomial {w} not below redex {word}"
+                )
+            x = repl.coefficient(w) * c
+            prev = pending.get(w)
+            if prev is None:
+                pending[w] = x
+                heappush(heap, _Pending(w))
+            else:
+                s = prev + x
+                if s:
+                    pending[w] = s
+                else:
+                    del pending[w]
+        if collect_steps:
+            steps.append(Step(rule, match.context, match.binding, word, c))
+        count += 1
+        if count > step_limit:
+            raise StepLimitExceeded(f"no normal form within {step_limit} steps")
+    return NFResult(OpPolynomial(done), tuple(steps))
 
 
 def normal_form(
@@ -346,8 +415,12 @@ def normal_form(
 
     Termination is guaranteed for order-compatible rules because each step
     strictly lowers the replaced word; the step cap is a defence against
-    rule sets that are not.
+    rule sets that are not.  The ``leading`` strategy takes the steps
+    ``reduce_once`` would take, without rebuilding the polynomial, and
+    raises ``RuleValidationError`` on a step that does not lower its redex.
     """
+    if strategy == "leading":
+        return _leading_normal_form(f, rules, step_limit, collect_steps)
     rng = random.Random(seed) if strategy == "random" else None
     steps = []
     count = 0

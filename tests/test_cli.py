@@ -1,5 +1,9 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -109,6 +113,136 @@ def test_cli_nf_trace_json(capsys):
     validate_schema("nf_result", payload)
     assert payload["normal_form"] == "y*x"
     assert payload["steps"][0]["rule"] == "d_after_p"
+    # the replayed polynomials chain from the input to the normal form
+    for text in ("d(p(x))*y*p(p(y))", "p(x)*p(y)*p(x*y)"):
+        code, out, _ = _run(capsys, ["nf", "--theory", "drb", "--json", text])
+        assert code == 0
+        payload = json.loads(out)
+        steps = payload["steps"]
+        assert len(steps) > 1
+        assert steps[0]["before"] == payload["input"]
+        for prev, step in zip(steps, steps[1:]):
+            assert prev["after"] == step["before"]
+        assert steps[-1]["after"] == payload["normal_form"]
+
+
+# stdout of the engine that kept the polynomial before and after every step
+GOLDEN_DRB_JSON = r'''{
+  "input": "d(p(x))*p(p(y))*y",
+  "normal_form": "-L*p(y)*y*x",
+  "steps": [
+    {
+      "rule": "p_quasi_idem",
+      "context": "\u22c6*d(p(x))*y",
+      "binding": {
+        "u": "y"
+      },
+      "redex": "d(p(x))*p(p(y))*y",
+      "coefficient": "1",
+      "before": "d(p(x))*p(p(y))*y",
+      "after": "-L*d(p(x))*p(y)*y"
+    },
+    {
+      "rule": "d_after_p",
+      "context": "\u22c6*p(y)*y",
+      "binding": {
+        "u": "x"
+      },
+      "redex": "d(p(x))*p(y)*y",
+      "coefficient": "-L",
+      "before": "-L*d(p(x))*p(y)*y",
+      "after": "-L*p(y)*y*x"
+    }
+  ]
+}
+'''
+
+GOLDEN_RB_TRACE = r'''p(p(p(y*x)*y)*x) + p(p(p(y*x)*x)*y) + p(p(p(y)*y*x)*x) + p(p(p(y)*x)*y*x) + p(p(p(x)*y*x)*y) + p(p(p(x)*y)*y*x) + L*p(p(y*y*x)*x) + L*p(p(y*x*x)*y) + 2*L*p(p(y*x)*y*x) + L*p(p(y)*y*x*x) + L*p(p(x)*y*y*x) + L^2*p(y*y*x*x)
+[
+  {
+    "rule": "p_rota_baxter",
+    "context": "\u22c6*p(x)",
+    "binding": {
+      "u": "y",
+      "v": "y*x"
+    },
+    "redex": "p(y*x)*p(y)*p(x)",
+    "coefficient": "1",
+    "before": "p(y*x)*p(y)*p(x)",
+    "after": "p(p(y*x)*y)*p(x) + p(p(y)*y*x)*p(x) + L*p(y*y*x)*p(x)"
+  },
+  {
+    "rule": "p_rota_baxter",
+    "context": "\u22c6",
+    "binding": {
+      "u": "x",
+      "v": "p(y*x)*y"
+    },
+    "redex": "p(p(y*x)*y)*p(x)",
+    "coefficient": "1",
+    "before": "p(p(y*x)*y)*p(x) + p(p(y)*y*x)*p(x) + L*p(y*y*x)*p(x)",
+    "after": "p(p(y)*y*x)*p(x) + p(p(y*x)*p(x)*y) + p(p(p(y*x)*y)*x) + L*p(y*y*x)*p(x) + L*p(p(y*x)*y*x)"
+  },
+  {
+    "rule": "p_rota_baxter",
+    "context": "\u22c6",
+    "binding": {
+      "u": "x",
+      "v": "p(y)*y*x"
+    },
+    "redex": "p(p(y)*y*x)*p(x)",
+    "coefficient": "1",
+    "before": "p(p(y)*y*x)*p(x) + p(p(y*x)*p(x)*y) + p(p(p(y*x)*y)*x) + L*p(y*y*x)*p(x) + L*p(p(y*x)*y*x)",
+    "after": "p(p(y*x)*p(x)*y) + p(p(y)*p(x)*y*x) + p(p(p(y*x)*y)*x) + p(p(p(y)*y*x)*x) + L*p(y*y*x)*p(x) + L*p(p(y*x)*y*x) + L*p(p(y)*y*x*x)"
+  },
+  {
+    "rule": "p_rota_baxter",
+    "context": "p(\u22c6*y)",
+    "binding": {
+      "u": "x",
+      "v": "y*x"
+    },
+    "redex": "p(p(y*x)*p(x)*y)",
+    "coefficient": "1",
+    "before": "p(p(y*x)*p(x)*y) + p(p(y)*p(x)*y*x) + p(p(p(y*x)*y)*x) + p(p(p(y)*y*x)*x) + L*p(y*y*x)*p(x) + L*p(p(y*x)*y*x) + L*p(p(y)*y*x*x)",
+    "after": "p(p(y)*p(x)*y*x) + p(p(p(y*x)*y)*x) + p(p(p(y*x)*x)*y) + p(p(p(y)*y*x)*x) + p(p(p(x)*y*x)*y) + L*p(y*y*x)*p(x) + L*p(p(y*x*x)*y) + L*p(p(y*x)*y*x) + L*p(p(y)*y*x*x)"
+  },
+  {
+    "rule": "p_rota_baxter",
+    "context": "p(\u22c6*y*x)",
+    "binding": {
+      "u": "x",
+      "v": "y"
+    },
+    "redex": "p(p(y)*p(x)*y*x)",
+    "coefficient": "1",
+    "before": "p(p(y)*p(x)*y*x) + p(p(p(y*x)*y)*x) + p(p(p(y*x)*x)*y) + p(p(p(y)*y*x)*x) + p(p(p(x)*y*x)*y) + L*p(y*y*x)*p(x) + L*p(p(y*x*x)*y) + L*p(p(y*x)*y*x) + L*p(p(y)*y*x*x)",
+    "after": "p(p(p(y*x)*y)*x) + p(p(p(y*x)*x)*y) + p(p(p(y)*y*x)*x) + p(p(p(y)*x)*y*x) + p(p(p(x)*y*x)*y) + p(p(p(x)*y)*y*x) + L*p(y*y*x)*p(x) + L*p(p(y*x*x)*y) + 2*L*p(p(y*x)*y*x) + L*p(p(y)*y*x*x)"
+  },
+  {
+    "rule": "p_rota_baxter",
+    "context": "\u22c6",
+    "binding": {
+      "u": "x",
+      "v": "y*y*x"
+    },
+    "redex": "p(y*y*x)*p(x)",
+    "coefficient": "L",
+    "before": "p(p(p(y*x)*y)*x) + p(p(p(y*x)*x)*y) + p(p(p(y)*y*x)*x) + p(p(p(y)*x)*y*x) + p(p(p(x)*y*x)*y) + p(p(p(x)*y)*y*x) + L*p(y*y*x)*p(x) + L*p(p(y*x*x)*y) + 2*L*p(p(y*x)*y*x) + L*p(p(y)*y*x*x)",
+    "after": "p(p(p(y*x)*y)*x) + p(p(p(y*x)*x)*y) + p(p(p(y)*y*x)*x) + p(p(p(y)*x)*y*x) + p(p(p(x)*y*x)*y) + p(p(p(x)*y)*y*x) + L*p(p(y*y*x)*x) + L*p(p(y*x*x)*y) + 2*L*p(p(y*x)*y*x) + L*p(p(y)*y*x*x) + L*p(p(x)*y*y*x) + L^2*p(y*y*x*x)"
+  }
+]
+'''
+
+
+def test_cli_nf_golden_json(capsys):
+    code, out, _ = _run(capsys, ["nf", "--theory", "drb", "--json", "d(p(x))*y*p(p(y))"])
+    assert code == 0 and out == GOLDEN_DRB_JSON
+
+
+def test_cli_nf_golden_trace(capsys):
+    code, out, _ = _run(capsys, ["nf", "--theory", "rb", "--trace", "p(x)*p(y)*p(x*y)"])
+    assert code == 0 and out == GOLDEN_RB_TRACE
 
 
 def test_cli_cmp(capsys):
@@ -183,6 +317,31 @@ def test_cli_model_eval(capsys):
     assert code == 0 and out.strip() == "0"
 
 
+def test_cli_model_eval_negative_weight(capsys):
+    # argparse reads -2/7 as an option unless the CLI attaches it to --lambda
+    argv = ["model-eval", "p(x)", "--model", "xi", "--assign", "x=1"]
+    code, out, err = _run(capsys, argv + ["--lambda", "-2/7"])
+    assert code == 0 and err == ""
+    assert (code, out) == _run(capsys, argv + ["--lambda=-2/7"])[:2]
+    assert out.strip() == "2/7"
+
+
+def test_cli_nf_negative_weight(capsys):
+    argv = ["nf", "--theory", "d", "d(d(x))"]
+    code, out, err = _run(capsys, argv + ["--lambda", "-2/7"])
+    assert code == 0 and err == ""
+    assert (code, out) == _run(capsys, argv + ["--lambda=-2/7"])[:2]
+    assert out.strip() == "7/2*d(x)"
+
+
+def test_cli_deep_nesting_is_a_limit(capsys):
+    depth = 1000
+    text = "p(" * depth + "x" + ")" * depth
+    code, out, err = _run(capsys, ["nf", "--theory", "rb", text])
+    assert code == 3 and out == ""
+    assert err.startswith("limit:") and "Traceback" not in err
+
+
 def test_cli_usage_error_exit_2(capsys):
     code, _, err = _run(capsys, ["nf", "--theory", "drb", "d(x"])
     assert code == 2 and "error" in err
@@ -241,3 +400,18 @@ def test_ruleset_missing_key(tmp_path, capsys):
     path.write_text(json.dumps({"rules": []}))
     code, _, err = _run(capsys, ["nf", "--theory", str(path), "x"])
     assert code == 2 and "error" in err
+
+
+def test_module_entry_point_without_asserts():
+    # python -O strips assert statements; the step replay must not need them
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "opalg", "nf", "--theory", "drb", "--json", "d(p(x))*y"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    payload = json.loads(proc.stdout)
+    validate_schema("nf_result", payload)
+    assert payload["normal_form"] == "y*x"

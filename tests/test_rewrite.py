@@ -187,13 +187,87 @@ def test_rule_validation_rejects_bare_toplevel_variable():
         RuleSchema("bad", ("u",), OpPolynomial(((u * d(X), coeff.ONE),)))
 
 
-def test_rule_validation_rejects_order_incompatible():
+def _order_incompatible_rule():
     # p(d(v)*u) leads p(d(u)*v) as a pattern, but a large u flips the instance order
     u, v = Word.letter("u"), Word.letter("v")
-    bad = RuleSchema(
+    return RuleSchema(
         "bad",
         ("u", "v"),
         OpPolynomial(((p(d(v) * u), coeff.ONE), (p(d(u) * v), coeff.ONE))),
     )
+
+
+def test_rule_validation_rejects_order_incompatible():
     with pytest.raises(RuleValidationError):
-        bad.check_order_compatible(("x", "y"), (OP_D, OP_P))
+        _order_incompatible_rule().check_order_compatible(("x", "y"), (OP_D, OP_P))
+
+
+def _reduce_once_loop(f, rules):
+    """The reference reducer: reduce_once until nothing matches."""
+    steps = []
+    while True:
+        f, step = reduce_once(f, rules)
+        if step is None:
+            return f, steps
+        steps.append(step)
+
+
+def _step_keys(steps):
+    return [
+        (
+            s.rule.name,
+            s.context.key,
+            tuple(sorted((v, w.key) for v, w in s.binding.items())),
+            s.redex,
+            s.coefficient,
+        )
+        for s in steps
+    ]
+
+
+def _assert_same_as_reduce_once(f, rules):
+    res = normal_form(f, rules, collect_steps=True)
+    ref, ref_steps = _reduce_once_loop(f, rules)
+    assert res.poly == ref
+    assert _step_keys(res.steps) == _step_keys(ref_steps)
+    return res
+
+
+def test_normal_form_takes_the_reduce_once_steps():
+    rng = random.Random(44)
+    for name in sorted(PRESETS):
+        theory = PRESETS[name]
+        for _ in range(25):
+            f = random_polynomial(rng, rng.randint(1, 8), ("x", "y"), theory.operators)
+            _assert_same_as_reduce_once(f, theory.rules)
+
+
+def test_normal_form_large_product_matches_reduce_once():
+    # five p(...) factors of distinct monomials: 541 terms in normal form
+    f = P("p(x)*p(y*y)*p(z)*p(w*w)*p(v)")
+    res = _assert_same_as_reduce_once(f, RB_THEORY.rules)
+    assert len(res.poly) == 541
+
+
+def test_normal_form_cancelled_word_produced_again():
+    # x^3 -> y cancels the pending -y, x^2 -> y produces y again, y -> x
+    z3, z2, y, x = P("x*x*x"), P("x*x"), P("y"), P("x")
+    rules = (
+        RuleSchema("cube", (), z3 - y),
+        RuleSchema("square", (), z2 - y),
+        RuleSchema("drop", (), y - x),
+    )
+    res = _assert_same_as_reduce_once(z3 - y + z2, rules)
+    assert res.poly == x
+    assert [s.rule.name for s in res.steps] == ["cube", "square", "drop"]
+    # a word cancelled to zero and never produced again is not rewritten
+    res = _assert_same_as_reduce_once(z3 - y, rules)
+    assert res.poly.is_zero()
+    assert [s.rule.name for s in res.steps] == ["cube"]
+
+
+def test_normal_form_rejects_step_above_redex():
+    # at u = x*y, v = x the replacement p(d(x*y)*x) lies above p(d(x)*x*y)
+    f = P("p(d(x)*x*y)")
+    with pytest.raises(RuleValidationError):
+        normal_form(f, (_order_incompatible_rule(),))
