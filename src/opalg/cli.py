@@ -41,6 +41,7 @@ from .models import (
 from .order import EQUAL, GREATER, LESS, compare_explain
 from .poly import OpPolynomial
 from .rewrite import (
+    DEFAULT_STEP_LIMIT,
     RuleSchema,
     RuleValidationError,
     StepLimitExceeded,
@@ -569,7 +570,7 @@ def _build_argparser():
     p.add_argument("--theory", default="drb")
     p.add_argument("--strategy", choices=("leading", "random"), default="leading")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--step-limit", type=int, default=1_000_000)
+    p.add_argument("--step-limit", type=int, default=DEFAULT_STEP_LIMIT)
     p.add_argument("--lambda", dest="weight", default=None, help="specialise the weight, e.g. 3/2")
     p.add_argument("--trace", action="store_true")
     p.add_argument("--json", action="store_true")

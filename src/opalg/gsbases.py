@@ -52,7 +52,14 @@ from dataclasses import dataclass, field, replace
 from .coeff import Scalar
 from . import coeff
 from .poly import OpPolynomial
-from .rewrite import RuleSchema, RuleValidationError, find_occurrences, normal_form
+from .rewrite import (
+    DEFAULT_STEP_LIMIT,
+    RuleSchema,
+    RuleValidationError,
+    find_occurrences,
+    is_irreducible,
+    normal_form,
+)
 from .terms import OP_D, OP_P, Context, Word
 
 __all__ = [
@@ -331,7 +338,7 @@ def including_compositions(f, g, left="f", right="g", scenario=None):
     return out
 
 
-def check_triviality(h, rules, omega, step_limit=None):
+def check_triviality(h, rules, omega, step_limit=DEFAULT_STEP_LIMIT):
     """Reduce a composition, checking it stays strictly below its ambiguity.
 
     Returns (trivial, steps, normal_form): trivial means the normal form is
@@ -341,10 +348,7 @@ def check_triviality(h, rules, omega, step_limit=None):
     for w in h.monomials():
         if not w < omega:
             raise MonomialNotBelowAmbiguity(f"monomial {w} not below ambiguity {omega}")
-    kwargs = {"collect_steps": True}
-    if step_limit is not None:
-        kwargs["step_limit"] = step_limit
-    res = normal_form(h, rules, **kwargs)
+    res = normal_form(h, rules, step_limit=step_limit, collect_steps=True)
     for s in res.steps:
         if not s.redex < omega:
             raise MonomialNotBelowAmbiguity(f"redex {s.redex} not below ambiguity {omega}")
@@ -574,8 +578,6 @@ def _multisets(budget, primes_exact, max_size, min_key, current, acc, cap):
 
 def enumerate_irr(theory, size_bound, generators, cap=1_000_000):
     """Words of size <= bound containing no rule pattern, ascending."""
-    from .rewrite import is_irreducible
-
     return [
         w
         for w in enumerate_words(size_bound, generators, theory.operators, cap)

@@ -17,9 +17,10 @@ of matches complete and finite.
 
 from __future__ import annotations
 
+import bisect
 import random
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
+from operator import attrgetter
 
 from .poly import OpPolynomial
 from .terms import Context, Word, _tuple_subtract, positions, substitute_letters
@@ -290,12 +291,8 @@ _MATCH_CACHE = {}
 _MATCH_CACHE_LIMIT = 400_000
 
 
-def _has_match(m, rules):
-    return any(match_rule(m, rule) for rule in rules)
-
-
 def is_irreducible(word, rules):
-    return not _has_match(word, rules)
+    return not any(match_rule(word, rule) for rule in rules)
 
 
 # ---------------------------------------------------------------------------
@@ -334,73 +331,7 @@ def reduce_once(f, rules, strategy="leading", rng=None):
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-class _Pending:
-    """Max-heap entry: orders words by descending term order."""
-
-    __slots__ = ("key", "word")
-
-    def __init__(self, word):
-        self.key = word.key
-        self.word = word
-
-    def __lt__(self, other):
-        return self.key > other.key
-
-
-def _leading_normal_form(f, rules, step_limit, collect_steps):
-    """The ``leading`` normal form, by a heap of pending words.
-
-    ``pending`` holds the terms not yet looked at and ``done`` the
-    irreducible ones.  Each step adds only words strictly below its redex,
-    so a word moved to ``done`` never comes back, and the greatest pending
-    word whose rules match is the greatest reducible word of the whole
-    polynomial: the redex ``reduce_once`` would pick, rewritten the same
-    way.  A heap entry whose word is no longer pending (cancelled to zero,
-    or a duplicate pushed after a cancellation) is skipped.  See Monagan &
-    Pearce, "Sparse polynomial division using a heap" (JSC 2011).
-    """
-    pending = {w: f.coefficient(w) for w in f.monomials()}
-    heap = [_Pending(w) for w in pending]
-    heapify(heap)
-    done = {}
-    steps = []
-    count = 0
-    while heap:
-        word = heappop(heap).word
-        c = pending.pop(word, None)
-        if c is None:
-            continue
-        for rule in rules:
-            matches = match_rule(word, rule)
-            if matches:
-                break
-        else:
-            done[word] = c
-            continue
-        match = matches[0]
-        repl = rule.rhs_instance(match.binding).in_context(match.context)
-        for w in repl.monomials():
-            if not w < word:
-                raise RuleValidationError(
-                    f"rule {rule.name}: instance monomial {w} not below redex {word}"
-                )
-            x = repl.coefficient(w) * c
-            prev = pending.get(w)
-            if prev is None:
-                pending[w] = x
-                heappush(heap, _Pending(w))
-            else:
-                s = prev + x
-                if s:
-                    pending[w] = s
-                else:
-                    del pending[w]
-        if collect_steps:
-            steps.append(Step(rule, match.context, match.binding, word, c))
-        count += 1
-        if count > step_limit:
-            raise StepLimitExceeded(f"no normal form within {step_limit} steps")
-    return NFResult(OpPolynomial(done), tuple(steps))
+_word_key = attrgetter("key")
 
 
 def normal_form(
@@ -411,29 +342,92 @@ def normal_form(
     step_limit=DEFAULT_STEP_LIMIT,
     collect_steps=False,
 ):
-    """Reduce to a fixed point of reduce_once.
+    """Reduce to a fixed point of reduce_once, taking the steps it takes.
+
+    ``terms`` is the whole current polynomial and ``open_`` its words not
+    yet known to be irreducible, ascending, so no step rebuilds or re-sorts
+    the polynomial.  The ``leading`` strategy rewrites the greatest open word
+    by the first match of the first rule that matches, dropping open words
+    that no rule matches (cf. Monagan & Pearce, "Sparse polynomial division
+    using a heap", JSC 2011).  The ``random`` strategy draws one match among
+    every match of every open word, in ``reduce_once``'s candidate order
+    (words descending, then rules, then matches), keeping each word's match
+    list in ``found``.
 
     Termination is guaranteed for order-compatible rules because each step
     strictly lowers the replaced word; the step cap is a defence against
-    rule sets that are not.  The ``leading`` strategy takes the steps
-    ``reduce_once`` would take, without rebuilding the polynomial, and
-    raises ``RuleValidationError`` on a step that does not lower its redex.
+    rule sets that are not.  A step that adds a word not below its redex
+    raises ``RuleValidationError``.
     """
-    if strategy == "leading":
-        return _leading_normal_form(f, rules, step_limit, collect_steps)
+    if strategy not in ("leading", "random"):
+        raise ValueError(f"unknown strategy {strategy!r}")
     rng = random.Random(seed) if strategy == "random" else None
+    terms = {w: f.coefficient(w) for w in f.monomials()}
+    open_ = sorted(terms, key=_word_key)
+    found = {}
     steps = []
     count = 0
     while True:
-        f2, step = reduce_once(f, rules, strategy=strategy, rng=rng)
-        if step is None:
-            return NFResult(f, tuple(steps))
+        if strategy == "leading":
+            match = None
+            while open_ and match is None:
+                for rule in rules:
+                    matches = match_rule(open_[-1], rule)
+                    if matches:
+                        match = matches[0]
+                        break
+                else:
+                    open_.pop()
+            if match is None:
+                break
+            word = open_.pop()
+        else:
+            reducible = []
+            total = 0
+            for w in open_:
+                ms = found.get(w)
+                if ms is None:
+                    ms = found[w] = [m for rule in rules for m in match_rule(w, rule)]
+                if ms:
+                    reducible.append(w)
+                    total += len(ms)
+            open_ = reducible
+            if not total:
+                break
+            r = rng.randrange(total)
+            i = len(open_) - 1
+            while r >= len(found[open_[i]]):
+                r -= len(found[open_[i]])
+                i -= 1
+            word = open_.pop(i)
+            match = found[word][r]
+        c = terms.pop(word)
+        repl = match.rule.rhs_instance(match.binding).in_context(match.context)
+        for w in repl.monomials():
+            if not w < word:
+                raise RuleValidationError(
+                    f"rule {match.rule.name}: instance monomial {w} not below redex {word}"
+                )
+            x = repl.coefficient(w) * c
+            prev = terms.get(w)
+            if prev is None:
+                terms[w] = x
+                bisect.insort(open_, w, key=_word_key)
+                continue
+            s = prev + x
+            if s:
+                terms[w] = s
+            else:
+                del terms[w]
+                i = bisect.bisect_left(open_, w.key, key=_word_key)
+                if i < len(open_) and open_[i] == w:
+                    del open_[i]
         if collect_steps:
-            steps.append(step)
-        f = f2
+            steps.append(Step(match.rule, match.context, match.binding, word, c))
         count += 1
         if count > step_limit:
             raise StepLimitExceeded(f"no normal form within {step_limit} steps")
+    return NFResult(OpPolynomial(terms), tuple(steps))
 
 
 def certificate_sum(steps):

@@ -234,6 +234,87 @@ GOLDEN_RB_TRACE = r'''p(p(p(y*x)*y)*x) + p(p(p(y*x)*x)*y) + p(p(p(y)*y*x)*x) + p
 ]
 '''
 
+# stdout of the engine that ran reduce_once on the whole polynomial at every random step
+GOLDEN_RB_RANDOM_JSON = r'''{
+  "input": "p(y*x)*p(y)*p(x)",
+  "normal_form": "p(p(p(y*x)*y)*x) + p(p(p(y*x)*x)*y) + p(p(p(y)*y*x)*x) + p(p(p(y)*x)*y*x) + p(p(p(x)*y*x)*y) + p(p(p(x)*y)*y*x) + L*p(p(y*y*x)*x) + L*p(p(y*x*x)*y) + 2*L*p(p(y*x)*y*x) + L*p(p(y)*y*x*x) + L*p(p(x)*y*y*x) + L^2*p(y*y*x*x)",
+  "steps": [
+    {
+      "rule": "p_rota_baxter",
+      "context": "\u22c6*p(x)",
+      "binding": {
+        "u": "y*x",
+        "v": "y"
+      },
+      "redex": "p(y*x)*p(y)*p(x)",
+      "coefficient": "1",
+      "before": "p(y*x)*p(y)*p(x)",
+      "after": "p(p(y*x)*y)*p(x) + p(p(y)*y*x)*p(x) + L*p(y*y*x)*p(x)"
+    },
+    {
+      "rule": "p_rota_baxter",
+      "context": "\u22c6",
+      "binding": {
+        "u": "x",
+        "v": "y*y*x"
+      },
+      "redex": "p(y*y*x)*p(x)",
+      "coefficient": "L",
+      "before": "p(p(y*x)*y)*p(x) + p(p(y)*y*x)*p(x) + L*p(y*y*x)*p(x)",
+      "after": "p(p(y*x)*y)*p(x) + p(p(y)*y*x)*p(x) + L*p(p(y*y*x)*x) + L*p(p(x)*y*y*x) + L^2*p(y*y*x*x)"
+    },
+    {
+      "rule": "p_rota_baxter",
+      "context": "\u22c6",
+      "binding": {
+        "u": "p(y*x)*y",
+        "v": "x"
+      },
+      "redex": "p(p(y*x)*y)*p(x)",
+      "coefficient": "1",
+      "before": "p(p(y*x)*y)*p(x) + p(p(y)*y*x)*p(x) + L*p(p(y*y*x)*x) + L*p(p(x)*y*y*x) + L^2*p(y*y*x*x)",
+      "after": "p(p(y)*y*x)*p(x) + p(p(y*x)*p(x)*y) + p(p(p(y*x)*y)*x) + L*p(p(y*y*x)*x) + L*p(p(y*x)*y*x) + L*p(p(x)*y*y*x) + L^2*p(y*y*x*x)"
+    },
+    {
+      "rule": "p_rota_baxter",
+      "context": "p(\u22c6*y)",
+      "binding": {
+        "u": "x",
+        "v": "y*x"
+      },
+      "redex": "p(p(y*x)*p(x)*y)",
+      "coefficient": "1",
+      "before": "p(p(y)*y*x)*p(x) + p(p(y*x)*p(x)*y) + p(p(p(y*x)*y)*x) + L*p(p(y*y*x)*x) + L*p(p(y*x)*y*x) + L*p(p(x)*y*y*x) + L^2*p(y*y*x*x)",
+      "after": "p(p(y)*y*x)*p(x) + p(p(p(y*x)*y)*x) + p(p(p(y*x)*x)*y) + p(p(p(x)*y*x)*y) + L*p(p(y*y*x)*x) + L*p(p(y*x*x)*y) + L*p(p(y*x)*y*x) + L*p(p(x)*y*y*x) + L^2*p(y*y*x*x)"
+    },
+    {
+      "rule": "p_rota_baxter",
+      "context": "\u22c6",
+      "binding": {
+        "u": "p(y)*y*x",
+        "v": "x"
+      },
+      "redex": "p(p(y)*y*x)*p(x)",
+      "coefficient": "1",
+      "before": "p(p(y)*y*x)*p(x) + p(p(p(y*x)*y)*x) + p(p(p(y*x)*x)*y) + p(p(p(x)*y*x)*y) + L*p(p(y*y*x)*x) + L*p(p(y*x*x)*y) + L*p(p(y*x)*y*x) + L*p(p(x)*y*y*x) + L^2*p(y*y*x*x)",
+      "after": "p(p(y)*p(x)*y*x) + p(p(p(y*x)*y)*x) + p(p(p(y*x)*x)*y) + p(p(p(y)*y*x)*x) + p(p(p(x)*y*x)*y) + L*p(p(y*y*x)*x) + L*p(p(y*x*x)*y) + L*p(p(y*x)*y*x) + L*p(p(y)*y*x*x) + L*p(p(x)*y*y*x) + L^2*p(y*y*x*x)"
+    },
+    {
+      "rule": "p_rota_baxter",
+      "context": "p(\u22c6*y*x)",
+      "binding": {
+        "u": "x",
+        "v": "y"
+      },
+      "redex": "p(p(y)*p(x)*y*x)",
+      "coefficient": "1",
+      "before": "p(p(y)*p(x)*y*x) + p(p(p(y*x)*y)*x) + p(p(p(y*x)*x)*y) + p(p(p(y)*y*x)*x) + p(p(p(x)*y*x)*y) + L*p(p(y*y*x)*x) + L*p(p(y*x*x)*y) + L*p(p(y*x)*y*x) + L*p(p(y)*y*x*x) + L*p(p(x)*y*y*x) + L^2*p(y*y*x*x)",
+      "after": "p(p(p(y*x)*y)*x) + p(p(p(y*x)*x)*y) + p(p(p(y)*y*x)*x) + p(p(p(y)*x)*y*x) + p(p(p(x)*y*x)*y) + p(p(p(x)*y)*y*x) + L*p(p(y*y*x)*x) + L*p(p(y*x*x)*y) + 2*L*p(p(y*x)*y*x) + L*p(p(y)*y*x*x) + L*p(p(x)*y*y*x) + L^2*p(y*y*x*x)"
+    }
+  ]
+}
+'''
+
 
 def test_cli_nf_golden_json(capsys):
     code, out, _ = _run(capsys, ["nf", "--theory", "drb", "--json", "d(p(x))*y*p(p(y))"])
@@ -243,6 +324,14 @@ def test_cli_nf_golden_json(capsys):
 def test_cli_nf_golden_trace(capsys):
     code, out, _ = _run(capsys, ["nf", "--theory", "rb", "--trace", "p(x)*p(y)*p(x*y)"])
     assert code == 0 and out == GOLDEN_RB_TRACE
+
+
+def test_cli_nf_golden_random_json(capsys):
+    code, out, _ = _run(
+        capsys,
+        ["nf", "--theory", "rb", "--strategy", "random", "--seed", "3", "--json", "p(x)*p(y)*p(x*y)"],
+    )
+    assert code == 0 and out == GOLDEN_RB_RANDOM_JSON
 
 
 def test_cli_cmp(capsys):

@@ -202,11 +202,12 @@ def test_rule_validation_rejects_order_incompatible():
         _order_incompatible_rule().check_order_compatible(("x", "y"), (OP_D, OP_P))
 
 
-def _reduce_once_loop(f, rules):
+def _reduce_once_loop(f, rules, strategy="leading", seed=0):
     """The reference reducer: reduce_once until nothing matches."""
+    rng = random.Random(seed) if strategy == "random" else None
     steps = []
     while True:
-        f, step = reduce_once(f, rules)
+        f, step = reduce_once(f, rules, strategy=strategy, rng=rng)
         if step is None:
             return f, steps
         steps.append(step)
@@ -225,21 +226,23 @@ def _step_keys(steps):
     ]
 
 
-def _assert_same_as_reduce_once(f, rules):
-    res = normal_form(f, rules, collect_steps=True)
-    ref, ref_steps = _reduce_once_loop(f, rules)
+def _assert_same_as_reduce_once(f, rules, strategy="leading", seed=0):
+    res = normal_form(f, rules, strategy=strategy, seed=seed, collect_steps=True)
+    ref, ref_steps = _reduce_once_loop(f, rules, strategy, seed)
     assert res.poly == ref
     assert _step_keys(res.steps) == _step_keys(ref_steps)
+    assert certificate_sum(res.steps) == f - res.poly
     return res
 
 
 def test_normal_form_takes_the_reduce_once_steps():
-    rng = random.Random(44)
-    for name in sorted(PRESETS):
-        theory = PRESETS[name]
-        for _ in range(25):
-            f = random_polynomial(rng, rng.randint(1, 8), ("x", "y"), theory.operators)
-            _assert_same_as_reduce_once(f, theory.rules)
+    for strategy, seed in [("leading", 0)] + [("random", s) for s in range(4)]:
+        rng = random.Random(44)
+        for name in sorted(PRESETS):
+            theory = PRESETS[name]
+            for _ in range(25):
+                f = random_polynomial(rng, rng.randint(1, 8), ("x", "y"), theory.operators)
+                _assert_same_as_reduce_once(f, theory.rules, strategy, seed)
 
 
 def test_normal_form_large_product_matches_reduce_once():
@@ -257,17 +260,25 @@ def test_normal_form_cancelled_word_produced_again():
         RuleSchema("square", (), z2 - y),
         RuleSchema("drop", (), y - x),
     )
-    res = _assert_same_as_reduce_once(z3 - y + z2, rules)
-    assert res.poly == x
-    assert [s.rule.name for s in res.steps] == ["cube", "square", "drop"]
-    # a word cancelled to zero and never produced again is not rewritten
-    res = _assert_same_as_reduce_once(z3 - y, rules)
-    assert res.poly.is_zero()
-    assert [s.rule.name for s in res.steps] == ["cube"]
+    # random seed 2 fires the rules in the same order as leading
+    for strategy, seed in (("leading", 0), ("random", 2)):
+        res = _assert_same_as_reduce_once(z3 - y + z2, rules, strategy, seed)
+        assert res.poly == x
+        assert [s.rule.name for s in res.steps] == ["cube", "square", "drop"]
+        # a word cancelled to zero and never produced again is not rewritten
+        res = _assert_same_as_reduce_once(z3 - y, rules, strategy, seed)
+        assert res.poly.is_zero()
+        assert [s.rule.name for s in res.steps] == ["cube"]
 
 
 def test_normal_form_rejects_step_above_redex():
     # at u = x*y, v = x the replacement p(d(x*y)*x) lies above p(d(x)*x*y)
     f = P("p(d(x)*x*y)")
-    with pytest.raises(RuleValidationError):
-        normal_form(f, (_order_incompatible_rule(),))
+    for strategy in ("leading", "random"):
+        with pytest.raises(RuleValidationError):
+            normal_form(f, (_order_incompatible_rule(),), strategy=strategy, step_limit=2_000)
+
+
+def test_normal_form_rejects_unknown_strategy():
+    with pytest.raises(ValueError, match="unknown strategy"):
+        normal_form(P("p(x)*p(y)"), RB_THEORY.rules, strategy="bogus")
