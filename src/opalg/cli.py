@@ -227,22 +227,12 @@ def format_word(word):
     return str(word)
 
 
-def _single_term(p):
-    nonzero = [(i, c) for i, c in enumerate(p) if c]
-    if len(nonzero) == 1:
-        return nonzero[0]
-    return None
-
-
 def _scalar_pieces(c):
     """(negative, magnitude text) for a nonzero scalar, parser-compatible."""
-    num_single = _single_term(c.num)
-    den_single = _single_term(c.den)
-    if num_single is not None and den_single is not None:
-        (i, a), (j, _) = num_single, den_single  # denominator is monic
+    if c.monomial is not None:
+        a, k = c.monomial
         neg = a < 0
         a = abs(a)
-        k = i - j
         parts = []
         if a != 1 or k == 0:
             parts.append(str(a))

@@ -7,17 +7,42 @@ denominator are coprime polynomials in L with rational coefficients, the
 denominator is monic, and zero is ``0/1``.  Equality of canonical forms is
 therefore structural equality.
 
+Quasi-idempotent operators of weight L only ever produce coefficients c·L^k
+(c rational, k an integer), so each scalar also carries its *monomial view*
+``(c, k)``, or ``None`` when it is not of that form.  Products, sums of equal
+powers, negation and inversion of monomials are built straight from their
+views, without a polynomial gcd; every other case takes the general Q(L)
+path.  Both paths give the same canonical ``num``/``den``, hash and view, so
+no result depends on which path built it.
+
 Scalars are immutable and hashable; all operations return new values.
+Inputs must be exact: a ``float`` is refused (see :func:`exact_fraction`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-__all__ = ["Scalar", "InvalidWeight", "PoleAtWeight"]
+__all__ = ["Scalar", "InvalidWeight", "PoleAtWeight", "exact_fraction"]
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
+
+
+def exact_fraction(x):
+    """``x`` as a Fraction, refusing a ``float`` with ``TypeError``.
+
+    A binary float such as 0.1 is not the rational it prints as, and turning
+    it into one would silently make exact arithmetic inexact.  Fractions,
+    ints and exact strings such as ``"0.1"`` or ``"-2/7"`` are accepted.
+    """
+    if type(x) is Fraction:
+        return x
+    if isinstance(x, float):
+        raise TypeError(
+            f"inexact float {x!r}: pass a Fraction, an int or a string such as '{x!r}'"
+        )
+    return Fraction(x)
 
 
 class InvalidWeight(ValueError):
@@ -102,13 +127,17 @@ def _peval(a, x):
 
 
 class Scalar:
-    """An element of Q(L), canonical and immutable."""
+    """An element of Q(L), canonical and immutable.
 
-    __slots__ = ("num", "den", "_hash")
+    ``monomial`` is ``(c, k)`` when the value is c·L^k with c ≠ 0, and
+    ``None`` otherwise (zero included).
+    """
+
+    __slots__ = ("num", "den", "monomial", "_hash")
 
     def __init__(self, num, den=(_F1,)):
-        num = _trim(tuple(Fraction(c) for c in num))
-        den = _trim(tuple(Fraction(c) for c in den))
+        num = _trim(tuple(exact_fraction(c) for c in num))
+        den = _trim(tuple(exact_fraction(c) for c in den))
         if not den:
             raise ZeroDivisionError("scalar with zero denominator")
         if not num:
@@ -122,9 +151,10 @@ class Scalar:
             if lead != 1:
                 num = _pscale(num, 1 / lead)
                 den = _pscale(den, 1 / lead)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_hash", hash((num, den)))
+        monomial = None
+        if num and not any(num[:-1]) and not any(den[:-1]):
+            monomial = (num[-1], len(num) - len(den))
+        _fill(self, num, den, monomial)
 
     def __setattr__(self, *_):
         raise AttributeError("Scalar is immutable")
@@ -133,14 +163,12 @@ class Scalar:
 
     @classmethod
     def from_rational(cls, p, q=1):
-        return cls((Fraction(p, q),))
+        return _from_monomial(Fraction(p, q), 0)
 
     @classmethod
     def lam(cls, power=1):
         """The monomial L**power; negative powers give 1/L**(-power)."""
-        if power >= 0:
-            return cls((_F0,) * power + (_F1,))
-        return cls((_F1,), (_F0,) * (-power) + (_F1,))
+        return _from_monomial(_F1, power)
 
     # -- predicates ---------------------------------------------------------
 
@@ -155,6 +183,9 @@ class Scalar:
     def __add__(self, other):
         if not isinstance(other, Scalar):
             return NotImplemented
+        a, b = self.monomial, other.monomial
+        if a is not None and b is not None and a[1] == b[1]:
+            return _from_monomial(a[0] + b[0], a[1])
         return Scalar(
             _padd(_pmul(self.num, other.den), _pmul(other.num, self.den)),
             _pmul(self.den, other.den),
@@ -166,16 +197,25 @@ class Scalar:
         return self + (-other)
 
     def __neg__(self):
+        a = self.monomial
+        if a is not None:
+            return _from_monomial(-a[0], a[1])
         return Scalar(_pneg(self.num), self.den)
 
     def __mul__(self, other):
         if not isinstance(other, Scalar):
             return NotImplemented
+        a, b = self.monomial, other.monomial
+        if a is not None and b is not None:
+            return _from_monomial(a[0] * b[0], a[1] + b[1])
         return Scalar(_pmul(self.num, other.num), _pmul(self.den, other.den))
 
     def inverse(self):
         if not self.num:
             raise ZeroDivisionError("inverse of zero scalar")
+        a = self.monomial
+        if a is not None:
+            return _from_monomial(1 / a[0], -a[1])
         return Scalar(self.den, self.num)
 
     def __truediv__(self, other):
@@ -201,7 +241,7 @@ class Scalar:
 
     def specialize(self, weight):
         """Evaluate at a concrete nonzero rational weight, exactly."""
-        w = Fraction(weight)
+        w = exact_fraction(weight)
         if w == 0:
             raise InvalidWeight("weight must be nonzero")
         d = _peval(self.den, w)
@@ -257,6 +297,30 @@ def _poly_str(cs):
     for p in parts[1:]:
         out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
     return out
+
+
+_setattr = object.__setattr__
+
+
+def _fill(s, num, den, monomial):
+    _setattr(s, "num", num)
+    _setattr(s, "den", den)
+    _setattr(s, "monomial", monomial)
+    _setattr(s, "_hash", hash((num, den)))
+
+
+def _from_monomial(c, k):
+    """c·L^k (c a Fraction) in the canonical form of the general path;
+    ``ZERO`` when c is zero."""
+    if not c:
+        return ZERO
+    if k >= 0:
+        num, den = (_F0,) * k + (c,), (_F1,)
+    else:
+        num, den = (c,), (_F0,) * -k + (_F1,)
+    s = object.__new__(Scalar)
+    _fill(s, num, den, (c, k))
+    return s
 
 
 ZERO = Scalar(())

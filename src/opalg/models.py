@@ -29,6 +29,7 @@ import math
 from fractions import Fraction
 
 from .coeff import InvalidWeight, PoleAtWeight  # re-exported for callers
+from .coeff import exact_fraction
 
 __all__ = [
     "RationalRing",
@@ -265,7 +266,7 @@ class OperatorModel:
 
     def __init__(self, ring, weight):
         self.ring = ring
-        self.weight = Fraction(weight)
+        self.weight = exact_fraction(weight)
         if self.weight == 0:
             raise InvalidWeight("weight must be nonzero")
 
@@ -489,7 +490,7 @@ def _eval_word(word, model, assignment):
 def evaluate_in_model(f, model, assignment, weight=None):
     """Structural evaluation: letters by assignment, operators by the model,
     coefficients specialised at the model's weight."""
-    w = Fraction(weight) if weight is not None else model.weight
+    w = exact_fraction(weight) if weight is not None else model.weight
     if w == 0:
         raise InvalidWeight("weight must be nonzero")
     total = None

@@ -159,6 +159,20 @@ def test_evaluate_examples():
         evaluate_in_model(P("x"), deg, {})
 
 
+def test_float_weight_refused():
+    with pytest.raises(TypeError):
+        DegenerateModel(RING, 0.1)
+    with pytest.raises(TypeError):
+        HurwitzConstrainedModel(RING, 1.5, window=8)
+    deg = DegenerateModel(RING, W32)
+    with pytest.raises(TypeError):
+        evaluate_in_model(P("L*x"), deg, {"x": Fraction(1)}, weight=0.1)
+    # exact weights of every other kind are accepted
+    assert DegenerateModel(RING, "0.1").weight == Fraction(1, 10)
+    assert DegenerateModel(RING, -2).weight == -2
+    assert evaluate_in_model(P("L*x"), deg, {"x": Fraction(1)}, weight="0.1") == Fraction(1, 10)
+
+
 def test_nonunital_model_rejects_unit():
     hur = HurwitzConstrainedModel(RING, W32, window=8)
     with pytest.raises(NonunitalModel):
