@@ -159,6 +159,9 @@ class Scalar:
     def __setattr__(self, *_):
         raise AttributeError("Scalar is immutable")
 
+    def __reduce__(self):
+        return Scalar, (self.num, self.den)
+
     # -- constructors -------------------------------------------------------
 
     @classmethod

@@ -76,7 +76,7 @@ class RationalRing:
         return Fraction(1)
 
     def coerce(self, x):
-        return Fraction(x)
+        return exact_fraction(x)
 
     def sample(self, rng):
         return Fraction(rng.randint(-6, 6), rng.randint(1, 5))
@@ -88,7 +88,7 @@ class TruncatedPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        self.coeffs = tuple(Fraction(c) for c in coeffs)
+        self.coeffs = tuple(exact_fraction(c) for c in coeffs)
 
     def __add__(self, other):
         return TruncatedPoly(a + b for a, b in zip(self.coeffs, other.coeffs))
@@ -140,7 +140,7 @@ class TruncatedPolyRing:
         return TruncatedPoly((Fraction(1),) + (Fraction(0),) * (self.length - 1))
 
     def coerce(self, x):
-        return self.one() * Fraction(x)
+        return self.one() * exact_fraction(x)
 
     def sample(self, rng):
         return TruncatedPoly(
@@ -159,7 +159,7 @@ class HurwitzSeries:
 
     def __init__(self, ring, weight, coeffs):
         self.ring = ring
-        self.weight = Fraction(weight)
+        self.weight = exact_fraction(weight)
         if self.weight == 0:
             raise InvalidWeight("weight must be nonzero")
         self.coeffs = tuple(coeffs)
@@ -240,10 +240,10 @@ def unit_series(ring, weight, window):
 
 def constrained_series(ring, weight, seed, window):
     """The sequence determined by f(n) = -(1/w) f(n-1) from a seed value."""
-    w = Fraction(weight)
+    w = exact_fraction(weight)
     if w == 0:
         raise InvalidWeight("weight must be nonzero")
-    seed = ring.coerce(seed) if isinstance(seed, (int, Fraction)) else seed
+    seed = ring.coerce(seed) if isinstance(seed, (int, float, Fraction)) else seed
     coeffs = [seed]
     step = -1 / w
     for _ in range(window - 1):

@@ -44,6 +44,9 @@ class OpPolynomial:
     def __setattr__(self, *_):
         raise AttributeError("OpPolynomial is immutable")
 
+    def __reduce__(self):
+        return OpPolynomial, (self._terms,)
+
     # -- constructors -------------------------------------------------------
 
     @classmethod

@@ -100,6 +100,9 @@ class RuleSchema:
     def __setattr__(self, *_):
         raise AttributeError("RuleSchema is immutable")
 
+    def __reduce__(self):
+        return RuleSchema, (self.name, self.variables, self.poly)
+
     def instantiate(self, binding):
         """The rule polynomial with variables replaced by bound words."""
         return self.poly.substitute_letters(binding)

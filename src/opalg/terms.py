@@ -11,6 +11,17 @@ Canonical form
     multisets therefore have identical storage, and structural equality is
     semantic equality.  The letter order is lexicographic on names, fixed.
 
+    Words and operator applications are hash-consed: constructing one sorts
+    its factors, then looks them up in a module table and returns the stored
+    object if there is one, so there is one object per distinct word and
+    the key, degrees and hash are built once.  Equality tests identity
+    first and falls back to comparing keys.  Hashes are structural (the
+    hash of the key, never a memory address), so set and dict orders do not
+    depend on the table.  The table is bounded: it is cleared when it grows
+    past ``_TABLE_LIMIT`` entries.  Equal words built on either side of a
+    clear (or by two threads missing at once) are distinct objects that
+    still compare equal, so a clear changes no result.
+
 Every word carries a precomputed ``key`` realising the term order used by
 the whole engine (see :mod:`opalg.order`): operator degree first, then the
 number of top-level operator factors, then the tuple of operator ranks, the
@@ -25,6 +36,8 @@ values here are immutable and safe to share.
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 __all__ = [
     "Operator",
     "OpApp",
@@ -34,6 +47,22 @@ __all__ = [
     "OP_P",
     "substitute_letters",
 ]
+
+
+#: The hash-consing table: (letters, ops) -> Word and (rank, name, arg) ->
+#: OpApp; the two kinds of lookup key differ in length, so never collide.
+#: An entry costs about 600 bytes, so the bound keeps it under about 250 MB.
+_TABLE = {}
+_TABLE_LIMIT = 400_000
+
+_factor_key = attrgetter("key")
+
+
+def _intern(ident, value):
+    if len(_TABLE) >= _TABLE_LIMIT:
+        _TABLE.clear()
+        _TABLE[_UNIT_IDENT] = _UNIT
+    _TABLE[ident] = value
 
 
 class Operator:
@@ -47,6 +76,9 @@ class Operator:
 
     def __setattr__(self, *_):
         raise AttributeError("Operator is immutable")
+
+    def __reduce__(self):
+        return Operator, (self.name, self.rank)
 
     def __eq__(self, other):
         return (
@@ -70,21 +102,37 @@ OP_P = Operator("p", 0)
 class OpApp:
     """A prime factor: one operator applied to a word."""
 
-    __slots__ = ("op", "arg", "key")
+    __slots__ = ("op", "arg", "key", "_hash")
 
-    def __init__(self, op, arg):
-        object.__setattr__(self, "op", op)
-        object.__setattr__(self, "arg", arg)
-        object.__setattr__(self, "key", (op.rank, op.name, arg.key))
+    def __new__(cls, op, arg):
+        ident = (op.rank, op.name, arg)
+        app = _TABLE.get(ident)
+        if app is not None:
+            return app
+        app = object.__new__(cls)
+        key = (op.rank, op.name, arg.key)
+        object.__setattr__(app, "op", op)
+        object.__setattr__(app, "arg", arg)
+        object.__setattr__(app, "key", key)
+        object.__setattr__(app, "_hash", hash(key))
+        _intern(ident, app)
+        return app
 
     def __setattr__(self, *_):
         raise AttributeError("OpApp is immutable")
 
+    def __reduce__(self):
+        return OpApp, (self.op, self.arg)
+
     def __eq__(self, other):
-        return isinstance(other, OpApp) and self.key == other.key
+        return self is other or (
+            isinstance(other, OpApp)
+            and self._hash == other._hash
+            and self.key == other.key
+        )
 
     def __hash__(self):
-        return hash(self.key)
+        return self._hash
 
     def __repr__(self):
         return f"OpApp({self.op.name}, {self.arg!r})"
@@ -95,9 +143,14 @@ class Word:
 
     __slots__ = ("letters", "ops", "op_degree", "letter_degree", "key", "_hash")
 
-    def __init__(self, letters=(), ops=()):
+    def __new__(cls, letters=(), ops=()):
         letters = tuple(sorted(letters, reverse=True))
-        ops = tuple(sorted(ops, key=lambda f: f.key, reverse=True))
+        ops = tuple(sorted(ops, key=_factor_key, reverse=True))
+        ident = (letters, ops)
+        word = _TABLE.get(ident)
+        if word is not None:
+            return word
+        word = object.__new__(cls)
         op_degree = sum(1 + f.arg.op_degree for f in ops)
         letter_degree = len(letters) + sum(f.arg.letter_degree for f in ops)
         key = (
@@ -107,15 +160,27 @@ class Word:
             tuple(f.arg.key for f in ops),
             (len(letters), letters),
         )
-        object.__setattr__(self, "letters", letters)
-        object.__setattr__(self, "ops", ops)
-        object.__setattr__(self, "op_degree", op_degree)
-        object.__setattr__(self, "letter_degree", letter_degree)
-        object.__setattr__(self, "key", key)
-        object.__setattr__(self, "_hash", hash(key))
+        object.__setattr__(word, "letters", letters)
+        object.__setattr__(word, "ops", ops)
+        object.__setattr__(word, "op_degree", op_degree)
+        object.__setattr__(word, "letter_degree", letter_degree)
+        object.__setattr__(word, "key", key)
+        object.__setattr__(word, "_hash", hash(key))
+        _intern(ident, word)
+        return word
+
+    def __init__(self, letters=(), ops=()):
+        """A no-op, since ``__new__`` returns a complete, shared word.
+
+        Defined so that ``Word.__init__`` can still be wrapped to count
+        ``Word(...)`` calls, as the benchmark's tracer does.
+        """
 
     def __setattr__(self, *_):
         raise AttributeError("Word is immutable")
+
+    def __reduce__(self):
+        return Word, (self.letters, self.ops)
 
     # -- constructors -------------------------------------------------------
 
@@ -178,7 +243,11 @@ class Word:
     # -- comparisons / hashing -------------------------------------------------
 
     def __eq__(self, other):
-        return isinstance(other, Word) and self.key == other.key
+        return self is other or (
+            isinstance(other, Word)
+            and self._hash == other._hash
+            and self.key == other.key
+        )
 
     def __hash__(self):
         return self._hash
@@ -207,6 +276,7 @@ class Word:
 
 
 _UNIT = Word()
+_UNIT_IDENT = ((), ())
 
 
 def _tuple_subtract(a, b):
@@ -258,6 +328,9 @@ class Context:
 
     def __setattr__(self, *_):
         raise AttributeError("Context is immutable")
+
+    def __reduce__(self):
+        return Context, (self.cofactors, self.ops)
 
     @classmethod
     def star(cls):

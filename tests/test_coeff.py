@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -224,3 +226,10 @@ def test_scalar_times_word_round_trips_through_text(c, rng):
     text = format_polynomial(f)
     assert parse_polynomial(text) == f
     assert format_polynomial(parse_polynomial(text)) == text
+
+
+@given(_SCALARS)
+def test_scalar_copy_and_pickle(a):
+    for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert b == a and hash(b) == hash(a)
+        assert (b.num, b.den, b.monomial) == (a.num, a.den, a.monomial)

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -6,6 +8,7 @@ from opalg.cli import parse_polynomial as P, parse_word as W
 from opalg import coeff
 from opalg.gsbases import (
     MonomialNotBelowAmbiguity,
+    PRESETS,
     TheoryPreset,
     VerifyConfig,
     broken_rb,
@@ -222,3 +225,17 @@ def test_normal_form_supported_on_enumerated_basis():
         for w in nf.monomials():
             if w.size <= 6:
                 assert w in basis
+
+
+def test_theory_preset_copy_and_pickle():
+    rng = random.Random(37)
+    for theory in PRESETS.values():
+        inputs = [random_polynomial(rng, 6, ("x", "y"), theory.operators) for _ in range(5)]
+        for c in (copy.deepcopy(theory), pickle.loads(pickle.dumps(theory))):
+            assert (c.name, c.operators, c.gs_verified) == (
+                theory.name, theory.operators, theory.gs_verified
+            )
+            assert [r.name for r in c.rules] == [r.name for r in theory.rules]
+            assert [r.poly for r in c.rules] == [r.poly for r in theory.rules]
+            for f in inputs:
+                assert normal_form(f, c.rules).poly == normal_form(f, theory.rules).poly

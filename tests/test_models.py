@@ -13,6 +13,7 @@ from opalg.models import (
     MissingAssignment,
     NonunitalModel,
     RationalRing,
+    TruncatedPoly,
     TruncatedPolyRing,
     WeightMismatch,
     XiModel,
@@ -167,7 +168,25 @@ def test_float_weight_refused():
     deg = DegenerateModel(RING, W32)
     with pytest.raises(TypeError):
         evaluate_in_model(P("L*x"), deg, {"x": Fraction(1)}, weight=0.1)
+    # the carriers and series refuse a float the same way
+    with pytest.raises(TypeError):
+        HurwitzSeries(RING, 0.1, (Fraction(1),))
+    with pytest.raises(TypeError):
+        constrained_series(RING, 0.1, 1, 2)
+    with pytest.raises(TypeError):
+        constrained_series(RING, W32, 0.5, 2)
+    with pytest.raises(TypeError):
+        RING.coerce(0.1)
+    with pytest.raises(TypeError):
+        TruncatedPoly((0.1,))
+    with pytest.raises(TypeError):
+        TruncatedPolyRing(2).coerce(0.1)
     # exact weights of every other kind are accepted
+    assert HurwitzSeries(RING, "0.1", (Fraction(1),)).weight == Fraction(1, 10)
+    assert constrained_series(RING, "0.1", 1, 2).coeffs == (1, -10)
+    assert RING.coerce("0.1") == Fraction(1, 10)
+    assert TruncatedPoly(("0.1", 2)).coeffs == (Fraction(1, 10), 2)
+    assert TruncatedPolyRing(2).coerce("-2/7").coeffs == (Fraction(-2, 7), 0)
     assert DegenerateModel(RING, "0.1").weight == Fraction(1, 10)
     assert DegenerateModel(RING, -2).weight == -2
     assert evaluate_in_model(P("L*x"), deg, {"x": Fraction(1)}, weight="0.1") == Fraction(1, 10)

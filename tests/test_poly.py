@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -79,3 +81,13 @@ def test_leading_multiplicativity_random():
             continue
         (fw, fc), (gw, gc) = f.leading(), g.leading()
         assert (f * g).leading() == (fw * gw, fc * gc)
+
+
+def test_polynomial_copy_and_pickle():
+    rng = random.Random(29)
+    for _ in range(40):
+        f = random_polynomial(rng, 6, ("x", "y"), (OP_D, OP_P))
+        for g in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+            assert g == f and hash(g) == hash(f)
+            assert g.terms_desc() == f.terms_desc()
+            assert all(a is b for (a, _), (b, _) in zip(g.terms_desc(), f.terms_desc()))

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -282,3 +284,15 @@ def test_normal_form_rejects_step_above_redex():
 def test_normal_form_rejects_unknown_strategy():
     with pytest.raises(ValueError, match="unknown strategy"):
         normal_form(P("p(x)*p(y)"), RB_THEORY.rules, strategy="bogus")
+
+
+def test_rule_schema_copy_and_pickle():
+    rng = random.Random(31)
+    inputs = [random_polynomial(rng, 6, ("x", "y"), (OP_D, OP_P)) for _ in range(10)]
+    for theory in PRESETS.values():
+        for rule in theory.rules:
+            for c in (copy.copy(rule), copy.deepcopy(rule), pickle.loads(pickle.dumps(rule))):
+                assert (c.name, c.variables) == (rule.name, rule.variables)
+                assert c.poly == rule.poly and c.lhs is rule.lhs and c.rhs == rule.rhs
+                for f in inputs:
+                    assert normal_form(f, [c]).poly == normal_form(f, [rule]).poly
