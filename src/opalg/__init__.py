@@ -43,6 +43,6 @@ from .gsbases import (
     BoundExceeded,
 )
 from .models import check_axioms, evaluate_in_model
-from .cli import parse_polynomial, parse_word, format_polynomial, format_word
+from .syntax import parse_polynomial, parse_word, format_polynomial
 
 __version__ = "0.1.0"

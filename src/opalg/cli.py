@@ -1,9 +1,6 @@
-"""Command-line interface: term grammar, pretty-printer, and subcommands.
+"""Command-line interface: subcommands, rule-set files and JSON reports.
 
-Grammar (see docs/grammar.ebnf): letters are identifiers, ``*`` multiplies,
-``d(...)`` and ``p(...)`` apply operators, ``1`` is the unit word, ``L`` is
-the formal weight, ``p/q`` divides scalars, ``^`` raises to an integer
-power.  Example: ``(L^-1)*d(x*y) - 2*p(x)*p(y)``.
+The term grammar the subcommands read and print lives in ``opalg.syntax``.
 
 Subcommands: nf, cmp, verify, irr, compose, hurwitz-check, model-eval.
 Exit codes: 0 success, 1 verification failure, 2 usage or syntax error,
@@ -18,8 +15,7 @@ import re
 import sys
 from fractions import Fraction
 
-from . import coeff
-from .coeff import InvalidWeight, PoleAtWeight, Scalar
+from .coeff import Scalar
 from .gsbases import (
     BoundExceeded,
     PRESETS,
@@ -32,8 +28,6 @@ from .gsbases import (
 from .models import (
     DegenerateModel,
     HurwitzConstrainedModel,
-    MissingAssignment,
-    NonunitalModel,
     RationalRing,
     XiModel,
     evaluate_in_model,
@@ -47,229 +41,10 @@ from .rewrite import (
     StepLimitExceeded,
     normal_form,
 )
-from .terms import OP_D, OP_P, Operator, Word
+from .syntax import ParseError, format_polynomial, parse_polynomial, parse_word
+from .terms import Operator
 
-__all__ = ["parse_polynomial", "format_polynomial", "format_word", "load_ruleset", "main"]
-
-DEFAULT_OPERATORS = (OP_D, OP_P)
-
-
-class ParseError(ValueError):
-    def __init__(self, message, position):
-        super().__init__(f"{message} (column {position + 1})")
-        self.position = position
-
-
-# ---------------------------------------------------------------------------
-# tokenizer / parser
-# ---------------------------------------------------------------------------
-
-def _tokenize(text):
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(("INT", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("IDENT", text[i:j], i))
-            i = j
-            continue
-        if ch in "+-*/^()":
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(("END", "", n))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text, operators):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.ops = {op.name: op for op in operators}
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def take(self, kind=None):
-        tok = self.tokens[self.pos]
-        if kind is not None and tok[0] != kind:
-            raise ParseError(f"expected {kind}, found {tok[1]!r}", tok[2])
-        self.pos += 1
-        return tok
-
-    def parse(self):
-        poly = self.sum()
-        tok = self.peek()
-        if tok[0] != "END":
-            raise ParseError(f"unexpected {tok[1]!r}", tok[2])
-        return poly
-
-    def sum(self):
-        negate = False
-        if self.peek()[0] in ("+", "-"):
-            negate = self.take()[0] == "-"
-        acc = self.product()
-        if negate:
-            acc = -acc
-        while self.peek()[0] in ("+", "-"):
-            op = self.take()[0]
-            term = self.product()
-            acc = acc - term if op == "-" else acc + term
-        return acc
-
-    def product(self):
-        acc = self.power()
-        while self.peek()[0] in ("*", "/"):
-            op = self.take()[0]
-            rhs = self.power()
-            if op == "*":
-                acc = acc * rhs
-            else:
-                c = _as_scalar(rhs)
-                if c is None:
-                    raise ParseError("division by a non-scalar", self.peek()[2])
-                if c.is_zero():
-                    raise ParseError("division by zero", self.peek()[2])
-                acc = acc.scale(c.inverse())
-        return acc
-
-    def power(self):
-        base = self.atom()
-        if self.peek()[0] != "^":
-            return base
-        caret = self.take()
-        sign = 1
-        if self.peek()[0] == "-":
-            self.take()
-            sign = -1
-        tok = self.take("INT")
-        exp = sign * int(tok[1])
-        c = _as_scalar(base)
-        if c is not None:
-            return OpPolynomial.from_word(Word.unit(), c**exp)
-        if exp < 0:
-            raise ParseError("negative power of a non-scalar", caret[2])
-        acc = OpPolynomial.one()
-        for _ in range(exp):
-            acc = acc * base
-        return acc
-
-    def atom(self):
-        tok = self.peek()
-        kind, text, at = tok
-        if kind == "INT":
-            self.take()
-            return OpPolynomial.from_word(Word.unit(), Scalar.from_rational(int(text)))
-        if kind == "(":
-            self.take()
-            inner = self.sum()
-            self.take(")")
-            return inner
-        if kind == "IDENT":
-            self.take()
-            if text == "L":
-                return OpPolynomial.from_word(Word.unit(), Scalar.lam(1))
-            if self.peek()[0] == "(":
-                op = self.ops.get(text)
-                if op is None:
-                    raise ParseError(f"unknown operator {text!r}", at)
-                self.take("(")
-                inner = self.sum()
-                self.take(")")
-                return inner.apply_operator(op)
-            if text in self.ops:
-                raise ParseError(f"operator {text!r} used as a letter", at)
-            return OpPolynomial.from_word(Word.letter(text))
-        raise ParseError(f"unexpected {text!r}", at)
-
-
-def _as_scalar(poly):
-    """The scalar value of a polynomial supported on the unit word, else None."""
-    if poly.is_zero():
-        return coeff.ZERO
-    terms = poly.terms_desc()
-    if len(terms) == 1 and terms[0][0].is_unit():
-        return terms[0][1]
-    return None
-
-
-def parse_polynomial(text, operators=DEFAULT_OPERATORS):
-    return _Parser(text, operators).parse()
-
-
-def parse_word(text, operators=DEFAULT_OPERATORS):
-    poly = parse_polynomial(text, operators)
-    terms = poly.terms_desc()
-    if len(terms) != 1 or not terms[0][1].is_one():
-        raise ParseError("expected a single word", 0)
-    return terms[0][0]
-
-
-# ---------------------------------------------------------------------------
-# formatting
-# ---------------------------------------------------------------------------
-
-def format_word(word):
-    return str(word)
-
-
-def _scalar_pieces(c):
-    """(negative, magnitude text) for a nonzero scalar, parser-compatible."""
-    if c.monomial is not None:
-        a, k = c.monomial
-        neg = a < 0
-        a = abs(a)
-        parts = []
-        if a != 1 or k == 0:
-            parts.append(str(a))
-        if k == 1:
-            parts.append("L")
-        elif k != 0:
-            parts.append(f"L^{k}")
-        return neg, "*".join(parts)
-    neg = c.num[-1] < 0
-    if neg:
-        c = -c
-    from .coeff import _poly_str
-
-    num = _poly_str(c.num)
-    if c.den == (Fraction(1),):
-        return neg, f"({num})"
-    return neg, f"(({num})/({_poly_str(c.den)}))"
-
-
-def format_polynomial(f):
-    if f.is_zero():
-        return "0"
-    pieces = []
-    for word, c in f.terms_desc():
-        neg, mag = _scalar_pieces(c)
-        if word.is_unit():
-            body = mag
-        elif mag == "1":
-            body = format_word(word)
-        else:
-            body = f"{mag}*{format_word(word)}"
-        pieces.append((neg, body))
-    neg, body = pieces[0]
-    out = f"-{body}" if neg else body
-    for neg, body in pieces[1:]:
-        out += f" - {body}" if neg else f" + {body}"
-    return out
+__all__ = ["load_ruleset", "main"]
 
 
 def _specialized(f, weight):
@@ -289,29 +64,39 @@ def load_ruleset(path):
     return ruleset_from_dict(data, name=str(path))
 
 
+def _field(obj, key, kind):
+    """``obj[key]``, refused unless ``obj`` is a JSON object holding a ``kind`` there."""
+    if not isinstance(obj, dict):
+        raise RuleValidationError(f"expected a JSON object holding {key!r}")
+    if key not in obj:
+        raise RuleValidationError(f"rule-set file is missing {key!r}")
+    if not isinstance(obj[key], kind):
+        raise RuleValidationError(f"{key!r} must be of type {kind.__name__}")
+    return obj[key]
+
+
 def ruleset_from_dict(data, name="user"):
-    for key in ("operators", "generators", "rules"):
-        if key not in data:
-            raise RuleValidationError(f"rule-set file is missing {key!r}")
     operators = []
     ranks = set()
-    for spec in data["operators"]:
-        op = Operator(spec["name"], int(spec["rank"]))
+    for spec in _field(data, "operators", list):
+        op = Operator(_field(spec, "name", str), _field(spec, "rank", int))
         if op.rank in ranks:
             raise RuleValidationError("operator ranks must be distinct")
         ranks.add(op.rank)
         operators.append(op)
     operators.sort(key=lambda o: -o.rank)
     operators = tuple(operators)
-    generators = [str(g) for g in data["generators"]]
+    generators = [str(g) for g in _field(data, "generators", list)]
     rules = []
-    for spec in data["rules"]:
-        variables = tuple(spec["variables"])
+    for spec in _field(data, "rules", list):
+        variables = tuple(_field(spec, "variables", list))
+        if not all(isinstance(v, str) for v in variables):
+            raise RuleValidationError("rule variables must be strings")
         clash = set(variables) & (set(generators) | {op.name for op in operators} | {"L"})
         if clash:
             raise RuleValidationError(f"rule variables shadow other names: {sorted(clash)}")
-        poly = parse_polynomial(spec["polynomial"], operators)
-        rule = RuleSchema(spec["name"], variables, poly)
+        poly = parse_polynomial(_field(spec, "polynomial", str), operators)
+        rule = RuleSchema(_field(spec, "name", str), variables, poly)
         rule.check_order_compatible(generators or ("x", "y"), operators)
         rules.append(rule)
     return TheoryPreset(name, tuple(rules), operators)
@@ -331,8 +116,8 @@ def _step_json(step, before, after):
     return {
         "rule": step.rule.name,
         "context": str(step.context),
-        "binding": {v: format_word(w) for v, w in sorted(step.binding.items())},
-        "redex": format_word(step.redex),
+        "binding": {v: str(w) for v, w in sorted(step.binding.items())},
+        "redex": str(step.redex),
         "coefficient": str(step.coefficient),
         "before": format_polynomial(before),
         "after": format_polynomial(after),
@@ -357,7 +142,7 @@ def _report_json(r):
         "left": r.left,
         "right": r.right,
         "kind": r.kind,
-        "ambiguity": format_word(r.ambiguity),
+        "ambiguity": str(r.ambiguity),
         "f_inst": format_polynomial(r.f_inst),
         "g_inst": format_polynomial(r.g_inst),
         "composition": format_polynomial(r.composition),
@@ -368,8 +153,8 @@ def _report_json(r):
     if r.context is not None:
         out["context"] = str(r.context)
     if r.mu is not None:
-        out["mu"] = format_word(r.mu)
-        out["nu"] = format_word(r.nu)
+        out["mu"] = str(r.mu)
+        out["nu"] = str(r.nu)
     return out
 
 
@@ -435,7 +220,7 @@ def _cmd_verify(args):
         print(f"theory {rep.theory}: {n} compositions, {n - len(bad)} trivial")
         for r in bad:
             print(f"NON-TRIVIAL {r.left} ∧ {r.right} [{r.kind}]")
-            print(f"  ambiguity:   {format_word(r.ambiguity)}")
+            print(f"  ambiguity:   {r.ambiguity}")
             print(f"  composition: {format_polynomial(r.composition)}")
             print(f"  normal form: {format_polynomial(r.normal_form)}")
         print("PASS" if rep.passed else "FAIL")
@@ -453,7 +238,7 @@ def _cmd_irr(args):
                     "theory": theory.name,
                     "size": args.size,
                     "generators": generators,
-                    "words": [format_word(w) for w in words],
+                    "words": [str(w) for w in words],
                     "count": len(words),
                 },
                 indent=2,
@@ -461,7 +246,7 @@ def _cmd_irr(args):
         )
     else:
         for w in words:
-            print(format_word(w))
+            print(w)
         print(f"count: {len(words)}")
     return 0
 
@@ -475,7 +260,7 @@ def _cmd_compose(args):
     else:
         for r in reports:
             status = "trivial" if r.trivial else "NON-TRIVIAL"
-            print(f"{r.kind:12} {format_word(r.ambiguity):40} {status}")
+            print(f"{r.kind:12} {str(r.ambiguity):40} {status}")
         print(f"{len(reports)} compositions")
     return 0 if all(r.trivial for r in reports) else 1
 
@@ -642,9 +427,7 @@ def main(argv=None):
     args = parser.parse_args(_attach_negative_weights(argv))
     try:
         return args.fn(args)
-    except (ParseError, RuleValidationError, InvalidWeight, PoleAtWeight,
-            NonunitalModel, MissingAssignment, ValueError, KeyError,
-            FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (StepLimitExceeded, BoundExceeded) as exc:

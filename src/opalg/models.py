@@ -217,10 +217,13 @@ class HurwitzSeries:
         )
 
     def agrees(self, other, window=None):
+        """Equality on the common reliable window, which must not be empty."""
         self._check(other)
         n = min(self.window, other.window)
         if window is not None:
             n = min(n, window)
+        if n < 1:
+            raise ValueError("the series share no reliable entry to compare")
         return self.coeffs[:n] == other.coeffs[:n]
 
     def is_zero(self, window=None):
@@ -258,11 +261,13 @@ def constrained_series(ring, weight, seed, window):
 class OperatorModel:
     """Operators d and P on a commutative carrier ring, for a nonzero weight.
 
-    The base owns the ring arithmetic; subclasses give ``name`` and the
-    operators ``d`` and ``p``, with ``None`` for an operator they lack.
+    The base owns the ring arithmetic and declares ``d`` and ``p`` as
+    ``None``; subclasses give ``name`` and define the operators they have.
     """
 
     has_unit = True
+    d = None
+    p = None
 
     def __init__(self, ring, weight):
         self.ring = ring
@@ -316,7 +321,6 @@ class LeftMultiplicationModel(OperatorModel):
     quasi-idempotent unless a*a = -w*a.  No differential operator."""
 
     name = "left-multiplication"
-    d = None
 
     def __init__(self, ring, weight, a):
         super().__init__(ring, weight)
@@ -375,10 +379,12 @@ def check_axioms(model, samples=50, seed=0, rng=None):
     """
     import random as _random
 
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
     rng = rng or _random.Random(seed)
     w = model.weight
-    has_d = getattr(model, "d", None) is not None
-    has_p = getattr(model, "p", None) is not None
+    has_d = model.d is not None
+    has_p = model.p is not None
     results = {}
     notes = []
 
@@ -403,7 +409,7 @@ def check_axioms(model, samples=50, seed=0, rng=None):
         run("p_tilde_quasi_idem", lambda: _p_tilde_once(model, w, x()))
     if has_d and has_p:
         run("d_after_p", lambda: model.equal(model.d(model.p(a := x())), a))
-    if has_d and getattr(model, "has_unit", False):
+    if has_d and model.has_unit:
         d_one = model.d(model.one())
         degenerate = not model.equal(d_one, model.zero())
         results["d_unit_zero"] = not degenerate
@@ -464,7 +470,7 @@ def _p_tilde_once(model, w, a):
 
 def _eval_word(word, model, assignment):
     if word.is_unit():
-        if not getattr(model, "has_unit", False):
+        if not model.has_unit:
             raise NonunitalModel("polynomial needs the unit, model has none")
         return model.one()
     acc = None
@@ -476,10 +482,12 @@ def _eval_word(word, model, assignment):
     for f in word.ops:
         inner = _eval_word(f.arg, model, assignment)
         if f.op.name == "d":
-            if getattr(model, "d", None) is None:
+            if model.d is None:
                 raise NonunitalModel("model has no differential operator")
             val = model.d(inner)
         elif f.op.name == "p":
+            if model.p is None:
+                raise NonunitalModel("model has no Rota-Baxter operator")
             val = model.p(inner)
         else:
             raise KeyError(f"model does not interpret operator {f.op.name}")

@@ -177,9 +177,7 @@ class OpPolynomial:
         return f"OpPolynomial({self})"
 
     def __str__(self):
-        if not self._terms:
-            return "0"
-        from .cli import format_polynomial  # textual form lives with the grammar
+        from .syntax import format_polynomial  # syntax imports this module
 
         return format_polynomial(self)
 

@@ -67,7 +67,7 @@ def _letter_count(word, name):
 class RuleSchema:
     """A named monic rewrite rule with linear variable pattern."""
 
-    __slots__ = ("name", "variables", "poly", "lhs", "rhs")
+    __slots__ = ("name", "variables", "poly", "lhs", "rhs", "_hash")
 
     def __init__(self, name, variables, poly):
         variables = tuple(variables)
@@ -96,9 +96,21 @@ class RuleSchema:
         object.__setattr__(self, "poly", poly)
         object.__setattr__(self, "lhs", lhs)
         object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "_hash", hash((name, variables, poly)))
 
     def __setattr__(self, *_):
         raise AttributeError("RuleSchema is immutable")
+
+    def __eq__(self, other):
+        return self is other or (
+            isinstance(other, RuleSchema)
+            and self._hash == other._hash
+            and (self.name, self.variables, self.poly)
+            == (other.name, other.variables, other.poly)
+        )
+
+    def __hash__(self):
+        return self._hash
 
     def __reduce__(self):
         return RuleSchema, (self.name, self.variables, self.poly)

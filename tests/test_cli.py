@@ -396,6 +396,9 @@ def test_cli_hurwitz_check(capsys):
     validate_schema("hurwitz_check", payload)
     assert payload["pass"] is True
     assert payload["checks"]["rota_baxter"] is True
+    # the shortest window on which every check still compares an entry
+    code, out, _ = _run(capsys, ["hurwitz-check", "--trunc", "3", "--samples", "5"])
+    assert code == 0 and out.strip().endswith("PASS")
 
 
 def test_cli_model_eval(capsys):
@@ -491,16 +494,51 @@ def test_ruleset_missing_key(tmp_path, capsys):
     assert code == 2 and "error" in err
 
 
+_BAD_RULESETS = {
+    "array.json": [RULESET],
+    "operators.json": dict(RULESET, operators=5),
+    "rank.json": dict(RULESET, operators=[{"name": "d", "rank": None}]),
+    "variables.json": dict(RULESET, rules=[dict(RULESET["rules"][0], variables=5)]),
+    "variable.json": dict(RULESET, rules=[dict(RULESET["rules"][0], variables=[["u"]])]),
+    "name.json": dict(RULESET, rules=[dict(RULESET["rules"][0], name=5)]),
+    "polynomial.json": dict(RULESET, rules=[dict(RULESET["rules"][0], polynomial=5)]),
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["nf", "--lambda", "1/0", "x"],
+        ["model-eval", "x", "--assign", "x=1/0"],
+        ["model-eval", "x", "--lambda", "1/0", "--assign", "x=1"],
+        ["nf", "--theory", "{tmp}", "x"],
+        *(["nf", "--theory", "{tmp}/" + name, "x"] for name in _BAD_RULESETS),
+        # windows too short for some check to compare any entry, and no samples
+        ["hurwitz-check", "--trunc", "2"],
+        ["hurwitz-check", "--trunc", "-1"],
+        ["hurwitz-check", "--samples", "0"],
+    ],
+    ids=" ".join,
+)
+def test_cli_bad_input_exit_2(tmp_path, capsys, argv):
+    for name, data in _BAD_RULESETS.items():
+        (tmp_path / name).write_text(json.dumps(data))
+    code, out, err = _run(capsys, [a.format(tmp=tmp_path) for a in argv])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_module_entry_point_without_asserts():
     # python -O strips assert statements; the step replay must not need them
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "opalg", "nf", "--theory", "drb", "--json", "d(p(x))*y"],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == ""
-    payload = json.loads(proc.stdout)
-    validate_schema("nf_result", payload)
-    assert payload["normal_form"] == "y*x"
+    for module in ("opalg", "opalg.cli"):
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", module, "nf", "--theory", "drb", "--json", "d(p(x))*y"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == "", module
+        payload = json.loads(proc.stdout)
+        validate_schema("nf_result", payload)
+        assert payload["normal_form"] == "y*x"

@@ -232,6 +232,7 @@ def test_theory_preset_copy_and_pickle():
     for theory in PRESETS.values():
         inputs = [random_polynomial(rng, 6, ("x", "y"), theory.operators) for _ in range(5)]
         for c in (copy.deepcopy(theory), pickle.loads(pickle.dumps(theory))):
+            assert c == theory
             assert (c.name, c.operators, c.gs_verified) == (
                 theory.name, theory.operators, theory.gs_verified
             )

@@ -292,7 +292,9 @@ def test_rule_schema_copy_and_pickle():
     for theory in PRESETS.values():
         for rule in theory.rules:
             for c in (copy.copy(rule), copy.deepcopy(rule), pickle.loads(pickle.dumps(rule))):
+                assert c == rule and hash(c) == hash(rule)
                 assert (c.name, c.variables) == (rule.name, rule.variables)
                 assert c.poly == rule.poly and c.lhs is rule.lhs and c.rhs == rule.rhs
                 for f in inputs:
                     assert normal_form(f, [c]).poly == normal_form(f, [rule]).poly
+            assert RuleSchema(rule.name + "_renamed", rule.variables, rule.poly) != rule

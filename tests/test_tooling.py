@@ -21,6 +21,33 @@ def test_no_assert_statements_in_library():
     assert not found, f"assert statements in src/opalg: {found}"
 
 
+def _imports_cli(node):
+    if isinstance(node, ast.Import):
+        return any(a.name == "opalg.cli" for a in node.names)
+    if isinstance(node, ast.ImportFrom):
+        package = "." * node.level + (node.module or "")
+        if package in (".cli", "opalg.cli"):
+            return True
+        return package in (".", "opalg") and any(a.name == "cli" for a in node.names)
+    return False
+
+
+def test_core_modules_do_not_import_the_cli():
+    # the CLI imports the core, so a core module importing the CLI closes an
+    # import cycle and makes `import opalg` load the CLI and argparse
+    paths = sorted(SRC.glob("*.py"))
+    assert paths, f"no sources under {SRC}"
+    found = []
+    for path in paths:
+        if path.name in ("cli.py", "__main__.py"):
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found.extend(
+            f"{path.name}:{node.lineno}" for node in ast.walk(tree) if _imports_cli(node)
+        )
+    assert not found, f"core modules import the CLI: {found}"
+
+
 def test_immutable_classes_define_reduce():
     # the default copy and pickle restore slots through __setattr__, so a class
     # whose __setattr__ raises must rebuild itself through __reduce__
