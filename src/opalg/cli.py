@@ -41,7 +41,13 @@ from .rewrite import (
     StepLimitExceeded,
     normal_form,
 )
-from .syntax import ParseError, format_polynomial, parse_polynomial, parse_word
+from .syntax import (
+    ParseError,
+    format_polynomial,
+    is_letter_name,
+    parse_polynomial,
+    parse_word,
+)
 from .terms import Operator
 
 __all__ = ["load_ruleset", "main"]
@@ -87,6 +93,7 @@ def ruleset_from_dict(data, name="user"):
     operators.sort(key=lambda o: -o.rank)
     operators = tuple(operators)
     generators = [str(g) for g in _field(data, "generators", list)]
+    _check_generators(generators, operators, RuleValidationError)
     rules = []
     for spec in _field(data, "rules", list):
         variables = tuple(_field(spec, "variables", list))
@@ -100,6 +107,12 @@ def ruleset_from_dict(data, name="user"):
         rule.check_order_compatible(generators or ("x", "y"), operators)
         rules.append(rule)
     return TheoryPreset(name, tuple(rules), operators)
+
+
+def _check_generators(generators, operators, error):
+    bad = [g for g in generators if not is_letter_name(g, operators)]
+    if bad:
+        raise error(f"generators must be letters of the grammar, not {bad}")
 
 
 def _resolve_theory(token):
@@ -230,6 +243,7 @@ def _cmd_verify(args):
 def _cmd_irr(args):
     theory = _resolve_theory(args.theory)
     generators = [g for g in args.generators.split(",") if g]
+    _check_generators(generators, theory.operators, ValueError)
     words = enumerate_irr(theory, args.size, generators)
     if args.json:
         print(

@@ -376,6 +376,8 @@ def normal_form(
     """
     if strategy not in ("leading", "random"):
         raise ValueError(f"unknown strategy {strategy!r}")
+    if step_limit < 0:
+        raise ValueError("the step limit must not be negative")
     rng = random.Random(seed) if strategy == "random" else None
     terms = {w: f.coefficient(w) for w in f.monomials()}
     open_ = sorted(terms, key=_word_key)

@@ -13,7 +13,9 @@ from .coeff import Scalar
 from .poly import OpPolynomial
 from .terms import OP_D, OP_P, Word
 
-__all__ = ["ParseError", "parse_polynomial", "parse_word", "format_polynomial"]
+__all__ = [
+    "ParseError", "parse_polynomial", "parse_word", "format_polynomial", "is_letter_name",
+]
 
 DEFAULT_OPERATORS = (OP_D, OP_P)
 
@@ -128,8 +130,12 @@ class _Parser:
         if exp < 0:
             raise ParseError("negative power of a non-scalar", caret[2])
         acc = OpPolynomial.one()
-        for _ in range(exp):
-            acc = acc * base
+        while exp:  # repeated squaring, from the low bit up
+            if exp & 1:
+                acc = acc * base
+            exp >>= 1
+            if exp:
+                base = base * base
         return acc
 
     def atom(self):
@@ -169,6 +175,20 @@ def _as_scalar(poly):
     if len(terms) == 1 and terms[0][0].is_unit():
         return terms[0][1]
     return None
+
+
+def is_letter_name(name, operators=DEFAULT_OPERATORS):
+    """Whether the grammar reads ``name`` back as a letter: an identifier
+    other than the formal weight ``L`` and the operator names."""
+    try:
+        tokens = _tokenize(name)
+    except ParseError:
+        return False
+    return (
+        [t[:2] for t in tokens] == [("IDENT", name), ("END", "")]
+        and name != "L"
+        and name not in {op.name for op in operators}
+    )
 
 
 def parse_polynomial(text, operators=DEFAULT_OPERATORS):

@@ -61,6 +61,15 @@ def test_parse_errors():
             parse_polynomial(bad)
 
 
+def test_parse_power_by_squaring():
+    base = parse_polynomial("x*d(y) + L*p(x)")
+    product = OpPolynomial.one()
+    for k in range(10):
+        assert parse_polynomial(f"(x*d(y) + L*p(x))^{k}") == product
+        product = product * base
+    assert len(parse_word("x^20000").letters) == 20000
+
+
 def test_parse_word_rejects_sums():
     with pytest.raises(ParseError):
         parse_word("x + y")
@@ -502,6 +511,8 @@ _BAD_RULESETS = {
     "variable.json": dict(RULESET, rules=[dict(RULESET["rules"][0], variables=[["u"]])]),
     "name.json": dict(RULESET, rules=[dict(RULESET["rules"][0], name=5)]),
     "polynomial.json": dict(RULESET, rules=[dict(RULESET["rules"][0], polynomial=5)]),
+    "generators.json": dict(RULESET, generators=["x", "L"]),
+    "generator.json": dict(RULESET, generators=["y*z"]),
 }
 
 
@@ -517,6 +528,15 @@ _BAD_RULESETS = {
         ["hurwitz-check", "--trunc", "2"],
         ["hurwitz-check", "--trunc", "-1"],
         ["hurwitz-check", "--samples", "0"],
+        ["hurwitz-check", "--trunc", "0"],
+        ["model-eval", "x", "--model", "hurwitz", "--trunc", "0", "--assign", "x=1"],
+        ["model-eval", "x", "--model", "hurwitz", "--trunc", "-2", "--assign", "x=1"],
+        # generators the grammar reads back as something else
+        ["irr", "--size", "1", "--theory", "rb", "--generators", "L,d"],
+        ["irr", "--size", "1", "--generators", "x,y*z"],
+        # a negative step limit, on irreducible and on reducible input
+        ["nf", "--step-limit", "-5", "x"],
+        ["nf", "--step-limit", "-5", "d(p(x))"],
     ],
     ids=" ".join,
 )
