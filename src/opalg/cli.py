@@ -30,6 +30,8 @@ from .models import (
     HurwitzConstrainedModel,
     RationalRing,
     XiModel,
+    check_axioms,
+    constrained_series,
     evaluate_in_model,
 )
 from .order import EQUAL, GREATER, LESS, compare_explain
@@ -76,19 +78,24 @@ def _field(obj, key, kind):
         raise RuleValidationError(f"expected a JSON object holding {key!r}")
     if key not in obj:
         raise RuleValidationError(f"rule-set file is missing {key!r}")
-    if not isinstance(obj[key], kind):
+    # a JSON true or false is a Python bool, which is an int too
+    if not isinstance(obj[key], kind) or (kind is int and isinstance(obj[key], bool)):
         raise RuleValidationError(f"{key!r} must be of type {kind.__name__}")
     return obj[key]
 
 
 def ruleset_from_dict(data, name="user"):
     operators = []
-    ranks = set()
     for spec in _field(data, "operators", list):
         op = Operator(_field(spec, "name", str), _field(spec, "rank", int))
-        if op.rank in ranks:
+        if not is_letter_name(op.name, ()):
+            raise RuleValidationError(
+                f"operator name {op.name!r} must be an identifier other than L"
+            )
+        if any(o.name == op.name for o in operators):
+            raise RuleValidationError("operator names must be distinct")
+        if any(o.rank == op.rank for o in operators):
             raise RuleValidationError("operator ranks must be distinct")
-        ranks.add(op.rank)
         operators.append(op)
     operators.sort(key=lambda o: -o.rank)
     operators = tuple(operators)
@@ -280,8 +287,6 @@ def _cmd_compose(args):
 
 
 def _cmd_hurwitz_check(args):
-    from .models import check_axioms
-
     weight = Fraction(args.weight)
     model = HurwitzConstrainedModel(RationalRing(), weight, window=args.trunc)
     report = check_axioms(model, samples=args.samples, seed=args.seed)
@@ -332,14 +337,12 @@ def _cmd_model_eval(args):
             raise ParseError(f"bad assignment {item!r}", 0)
         seed = Fraction(value)
         if args.model == "hurwitz":
-            from .models import constrained_series
-
             assignment[name] = constrained_series(
                 model.ring, weight, seed, args.trunc
             )
         else:
             assignment[name] = seed
-    value = evaluate_in_model(f, model, assignment, weight)
+    value = evaluate_in_model(f, model, assignment)
     if args.model == "hurwitz":
         print(json.dumps([str(c) for c in value.coeffs]))
     else:

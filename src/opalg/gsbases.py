@@ -12,6 +12,11 @@ The built-in theories axiomatise, as rewrite rules over the scalar field:
 ``drb-gs`` the ``drb`` rules plus the collapse rules d(u) = -(1/L) u and
            p(u) = -L u.
 
+The rules are listed as text in one table, ``_RULES``, in the term grammar
+of :mod:`opalg.syntax` that rule-set files use; each rule is parsed once and
+shared by every preset that holds it, and a preset lists its rules in the
+order the ``leading`` strategy tries them.
+
 ``d`` and ``drb`` are the defining axioms and are not complete.  ``d-gs`` and
 ``drb-gs`` are their completions, the Gröbner-Shirshov bases that pass
 :func:`verify_gs` (``rb`` is complete as given).  Each added rule is a
@@ -49,17 +54,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 
-from .coeff import Scalar
-from . import coeff
 from .poly import OpPolynomial
 from .rewrite import (
-    DEFAULT_STEP_LIMIT,
     RuleSchema,
     RuleValidationError,
     find_occurrences,
     is_irreducible,
     normal_form,
 )
+from .syntax import parse_polynomial
 from .terms import OP_D, OP_P, Context, Word
 
 __all__ = [
@@ -88,7 +91,7 @@ class MonomialNotBelowAmbiguity(ValueError):
 
 
 class BoundExceeded(RuntimeError):
-    """Word enumeration exceeded the configured cap."""
+    """A word enumeration would hold more than WORD_CAP words."""
 
 
 @dataclass(frozen=True)
@@ -104,105 +107,56 @@ class TheoryPreset:
                 return r
         raise KeyError(name)
 
-    def with_gs_verified(self):
-        return TheoryPreset(self.name, self.rules, self.operators, True)
-
 
 # ---------------------------------------------------------------------------
 # preset rule sets
 # ---------------------------------------------------------------------------
 
-def _d(w):
-    return w.apply(OP_D)
+# rule name -> (variables, rule polynomial in the term grammar of opalg.syntax)
+_RULES = {
+    "d_leibniz": ("u v", "d(u)*d(v) + L^-1*d(u)*v + L^-1*u*d(v) - L^-1*d(u*v)"),
+    "d_quasi_idem": ("u", "d(d(u)) + L^-1*d(u)"),
+    "p_rota_baxter": ("u v", "p(u)*p(v) - p(u*p(v)) - p(p(u)*v) - L*p(u*v)"),
+    "p_quasi_idem": ("u", "p(p(u)) + L*p(u)"),
+    "d_after_p": ("u", "d(p(u)) - u"),
+    "d_unit": ("", "d(1)"),
+    # rules derived from compositions of the axioms (see the module docstring)
+    "d_absorb": ("u v", "d(d(u)*v) + L^-1*d(u)*v"),
+    "d_collapse": ("u", "d(u) + L^-1*u"),
+    "p_collapse": ("u", "p(u) + L*u"),
+    # the negative control: the Rota-Baxter rule with its weight term dropped
+    "p_rota_baxter_broken": ("u v", "p(u)*p(v) - p(u*p(v)) - p(p(u)*v)"),
+}
 
+_D_RULES = ("d_leibniz", "d_quasi_idem")
+_DRB_RULES = _D_RULES + ("p_rota_baxter", "p_quasi_idem", "d_after_p")
 
-def _p(w):
-    return w.apply(OP_P)
+# preset name -> (rule names in the order the leading strategy tries them, operators)
+_THEORIES = {
+    "d": (_D_RULES, (OP_D,)),
+    "rb": (("p_rota_baxter", "p_quasi_idem"), (OP_P,)),
+    "drb": (_DRB_RULES, (OP_D, OP_P)),
+    "d+d1": (_D_RULES + ("d_unit",), (OP_D,)),
+    "d-gs": (_D_RULES + ("d_absorb",), (OP_D,)),
+    "drb-gs": (_DRB_RULES + ("d_collapse", "p_collapse"), (OP_D, OP_P)),
+    "rb-broken": (("p_rota_baxter_broken", "p_quasi_idem"), (OP_P,)),
+}
 
 
 def _build_presets():
-    u = Word.letter("u")
-    v = Word.letter("v")
-    one = coeff.ONE
-    lam = Scalar.lam(1)
-    lam_inv = Scalar.lam(-1)
-
-    d_leibniz = RuleSchema(
-        "d_leibniz",
-        ("u", "v"),
-        OpPolynomial(
-            (
-                (_d(u) * _d(v), one),
-                (_d(u) * v, lam_inv),
-                (u * _d(v), lam_inv),
-                (_d(u * v), -lam_inv),
-            )
-        ),
-    )
-    d_quasi_idem = RuleSchema(
-        "d_quasi_idem",
-        ("u",),
-        OpPolynomial(((_d(_d(u)), one), (_d(u), lam_inv))),
-    )
-    p_rota_baxter = RuleSchema(
-        "p_rota_baxter",
-        ("u", "v"),
-        OpPolynomial(
-            (
-                (_p(u) * _p(v), one),
-                (_p(u * _p(v)), -one),
-                (_p(_p(u) * v), -one),
-                (_p(u * v), -lam),
-            )
-        ),
-    )
-    p_quasi_idem = RuleSchema(
-        "p_quasi_idem",
-        ("u",),
-        OpPolynomial(((_p(_p(u)), one), (_p(u), lam))),
-    )
-    d_after_p = RuleSchema(
-        "d_after_p",
-        ("u",),
-        OpPolynomial(((_d(_p(u)), one), (u, -one))),
-    )
-    d_unit = RuleSchema(
-        "d_unit",
-        (),
-        OpPolynomial(((_d(Word.unit()), one),)),
-    )
-    # rules derived from compositions of the axioms (see the module docstring)
-    d_absorb = RuleSchema(
-        "d_absorb",
-        ("u", "v"),
-        OpPolynomial(((_d(_d(u) * v), one), (_d(u) * v, lam_inv))),
-    )
-    d_collapse = RuleSchema(
-        "d_collapse",
-        ("u",),
-        OpPolynomial(((_d(u), one), (u, lam_inv))),
-    )
-    p_collapse = RuleSchema(
-        "p_collapse",
-        ("u",),
-        OpPolynomial(((_p(u), one), (u, lam))),
-    )
-
-    d_rules = (d_leibniz, d_quasi_idem)
-    drb_rules = (d_leibniz, d_quasi_idem, p_rota_baxter, p_quasi_idem, d_after_p)
+    """Every theory, each rule built once and shared by the theories holding it."""
+    rules = {
+        name: RuleSchema(name, variables.split(), parse_polynomial(text))
+        for name, (variables, text) in _RULES.items()
+    }
     return {
-        "d": TheoryPreset("d", d_rules, (OP_D,)),
-        "rb": TheoryPreset("rb", (p_rota_baxter, p_quasi_idem), (OP_P,)),
-        "drb": TheoryPreset("drb", drb_rules, (OP_D, OP_P)),
-        "d+d1": TheoryPreset("d+d1", d_rules + (d_unit,), (OP_D,)),
-        "d-gs": TheoryPreset("d-gs", d_rules + (d_absorb,), (OP_D,)),
-        "drb-gs": TheoryPreset(
-            "drb-gs", drb_rules + (d_collapse, p_collapse), (OP_D, OP_P)
-        ),
+        name: TheoryPreset(name, tuple(rules[r] for r in names), operators)
+        for name, (names, operators) in _THEORIES.items()
     }
 
 
 PRESETS = _build_presets()
+_BROKEN_RB = PRESETS.pop("rb-broken")  # the negative control is not a preset
 
 
 def preset(name):
@@ -214,21 +168,7 @@ def preset(name):
 
 def broken_rb():
     """The negative control: the Rota-Baxter rule with its weight term dropped."""
-    u = Word.letter("u")
-    v = Word.letter("v")
-    one = coeff.ONE
-    broken = RuleSchema(
-        "p_rota_baxter_broken",
-        ("u", "v"),
-        OpPolynomial(
-            (
-                (_p(u) * _p(v), one),
-                (_p(u * _p(v)), -one),
-                (_p(_p(u) * v), -one),
-            )
-        ),
-    )
-    return TheoryPreset("rb-broken", (broken, preset("rb").rule("p_quasi_idem")), (OP_P,))
+    return _BROKEN_RB
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +278,7 @@ def including_compositions(f, g, left="f", right="g", scenario=None):
     return out
 
 
-def check_triviality(h, rules, omega, step_limit=DEFAULT_STEP_LIMIT):
+def check_triviality(h, rules, omega):
     """Reduce a composition, checking it stays strictly below its ambiguity.
 
     Returns (trivial, steps, normal_form): trivial means the normal form is
@@ -348,7 +288,7 @@ def check_triviality(h, rules, omega, step_limit=DEFAULT_STEP_LIMIT):
     for w in h.monomials():
         if not w < omega:
             raise MonomialNotBelowAmbiguity(f"monomial {w} not below ambiguity {omega}")
-    res = normal_form(h, rules, step_limit=step_limit, collect_steps=True)
+    res = normal_form(h, rules, collect_steps=True)
     for s in res.steps:
         if not s.redex < omega:
             raise MonomialNotBelowAmbiguity(f"redex {s.redex} not below ambiguity {omega}")
@@ -535,26 +475,48 @@ def verify_gs(theory, cfg=None):
 # irreducible words
 # ---------------------------------------------------------------------------
 
-def enumerate_words(size_bound, generators, operators, cap=1_000_000):
-    """Every word of size at most the bound, over the given alphabet."""
+WORD_CAP = 1_000_000
+
+
+def _count_words(size_bound, n_generators, n_operators):
+    """The number of words of size at most the bound, without building them.
+
+    A prime (a factor that is not a product) of size n is a letter, at
+    n = 1, or an operator around a word of size n - 1.  A word is a multiset
+    of primes, so the counts by size are the Euler transform of the prime
+    counts: n·words[n] = sum over k of c[k]·words[n - k].
+    """
+    words, primes, c = [1], [0], [0]
+    for n in range(1, size_bound + 1):
+        primes.append(n_operators * words[n - 1] + (n_generators if n == 1 else 0))
+        c.append(sum(d * primes[d] for d in range(1, n + 1) if n % d == 0))
+        words.append(sum(c[k] * words[n - k] for k in range(1, n + 1)) // n)
+    return sum(words)
+
+
+def enumerate_words(size_bound, generators, operators):
+    """Every word of size at most the bound over the given alphabet; each
+    generator counts once however often it is listed."""
     if size_bound < 0:
         return []
+    generators = sorted(set(generators))
+    total = _count_words(size_bound, len(generators), len(operators))
+    if total > WORD_CAP:
+        raise BoundExceeded(f"{total} words of size at most {size_bound}, more than {WORD_CAP}")
     words_exact = {0: [Word.unit()]}
     primes_exact = {}
     for k in range(1, size_bound + 1):
         primes = []
         if k == 1:
-            primes.extend(Word.letter(g) for g in sorted(generators))
+            primes.extend(Word.letter(g) for g in generators)
         primes.extend(
             w.apply(op) for w in words_exact[k - 1] for op in operators
         )
         primes_exact[k] = primes
         # words of size exactly k: multisets of primes with sizes summing to k
         acc = []
-        _multisets(k, primes_exact, k, None, Word.unit(), acc, cap)
+        _multisets(k, primes_exact, k, None, Word.unit(), acc)
         words_exact[k] = acc
-        if sum(len(v) for v in words_exact.values()) > cap:
-            raise BoundExceeded(f"more than {cap} words below size {size_bound}")
     out = []
     for k in range(size_bound + 1):
         out.extend(words_exact[k])
@@ -562,9 +524,7 @@ def enumerate_words(size_bound, generators, operators, cap=1_000_000):
     return out
 
 
-def _multisets(budget, primes_exact, max_size, min_key, current, acc, cap):
-    if len(acc) > cap:
-        raise BoundExceeded(f"word enumeration exceeded cap {cap}")
+def _multisets(budget, primes_exact, max_size, min_key, current, acc):
     if budget == 0:
         acc.append(current)
         return
@@ -573,17 +533,17 @@ def _multisets(budget, primes_exact, max_size, min_key, current, acc, cap):
             pk = (size, prime.key)
             if min_key is not None and pk > min_key:
                 continue
-            _multisets(budget - size, primes_exact, max_size, pk, current * prime, acc, cap)
+            _multisets(budget - size, primes_exact, max_size, pk, current * prime, acc)
 
 
-def enumerate_irr(theory, size_bound, generators, cap=1_000_000):
+def enumerate_irr(theory, size_bound, generators):
     """Words of size <= bound containing no rule pattern, ascending."""
     return [
         w
-        for w in enumerate_words(size_bound, generators, theory.operators, cap)
+        for w in enumerate_words(size_bound, generators, theory.operators)
         if is_irreducible(w, theory.rules)
     ]
 
 
-def count_irr(theory, size_bound, generators, cap=1_000_000):
-    return len(enumerate_irr(theory, size_bound, generators, cap))
+def count_irr(theory, size_bound, generators):
+    return len(enumerate_irr(theory, size_bound, generators))

@@ -218,20 +218,17 @@ class HurwitzSeries:
             (-self.weight * self.coeffs[0],) + self.coeffs,
         )
 
-    def agrees(self, other, window=None):
+    def agrees(self, other):
         """Equality on the common reliable window, which must not be empty."""
         self._check(other)
         n = min(self.window, other.window)
-        if window is not None:
-            n = min(n, window)
         if n < 1:
             raise ValueError("the series share no reliable entry to compare")
         return self.coeffs[:n] == other.coeffs[:n]
 
-    def is_zero(self, window=None):
-        n = self.window if window is None else min(window, self.window)
+    def is_zero(self):
         z = self.ring.zero()
-        return all(c == z for c in self.coeffs[:n])
+        return all(c == z for c in self.coeffs)
 
     def __repr__(self):
         return f"HurwitzSeries(w={self.weight}, {list(self.coeffs)})"
@@ -443,16 +440,13 @@ def _eval_word(word, model, assignment):
     return acc
 
 
-def evaluate_in_model(f, model, assignment, weight=None):
+def evaluate_in_model(f, model, assignment):
     """Structural evaluation: letters by assignment, operators by the model,
     coefficients specialised at the model's weight."""
-    w = exact_fraction(weight) if weight is not None else model.weight
-    if w == 0:
-        raise InvalidWeight("weight must be nonzero")
     total = None
     for word, c in f.terms_desc():
         value = _eval_word(word, model, assignment)
-        term = c.specialize(w) * value
+        term = c.specialize(model.weight) * value
         total = term if total is None else total + term
     if total is None:
         return model.zero()

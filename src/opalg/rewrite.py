@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 
 from .poly import OpPolynomial
+from .sampling import random_word
 from .terms import Context, Word, _tuple_subtract, positions, substitute_letters
 
 __all__ = [
@@ -125,12 +126,10 @@ class RuleSchema:
     def rhs_instance(self, binding):
         return self.rhs.substitute_letters(binding)
 
-    def check_order_compatible(self, letters, operators, samples=25, seed=7):
-        """Sample instantiations and check every right monomial sits below the pattern."""
-        from .sampling import random_word
-
-        rng = random.Random(seed)
-        for _ in range(samples):
+    def check_order_compatible(self, letters, operators):
+        """Sample 25 instantiations and check every right monomial sits below the pattern."""
+        rng = random.Random(7)
+        for _ in range(25):
             binding = {
                 v: random_word(rng, rng.randint(0, 4), letters, operators)
                 for v in self.variables

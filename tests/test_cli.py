@@ -16,6 +16,7 @@ from opalg.cli import (
     parse_word,
 )
 from opalg.coeff import Scalar
+from opalg.gsbases import PRESETS, broken_rb
 from opalg.poly import OpPolynomial
 from opalg.rewrite import RuleValidationError
 from opalg.sampling import random_polynomial
@@ -381,6 +382,19 @@ def test_cli_irr(capsys):
     assert "d(p(x))" not in payload["words"]
 
 
+def test_cli_irr_duplicate_generators_count_once(capsys):
+    _, once, _ = _run(capsys, ["irr", "--theory", "rb", "--size", "2", "--generators", "x"])
+    code, twice, _ = _run(capsys, ["irr", "--theory", "rb", "--size", "2", "--generators", "x,x"])
+    assert code == 0 and twice == once
+    assert twice.splitlines()[-1] == "count: 6"
+
+
+def test_cli_irr_over_the_word_cap_exit_3(capsys):
+    code, out, err = _run(capsys, ["irr", "--size", "9"])
+    assert code == 3 and out == ""
+    assert err.startswith("limit:") and "Traceback" not in err
+
+
 def test_cli_compose(capsys):
     code, out, _ = _run(
         capsys,
@@ -485,6 +499,25 @@ def test_ruleset_file_round_trip(tmp_path, capsys):
     assert code == 0 and out.strip() == "y*x"
 
 
+@pytest.mark.parametrize("name", [*PRESETS, "rb-broken"])
+def test_preset_as_ruleset_file(tmp_path, name):
+    theory = broken_rb() if name == "rb-broken" else PRESETS[name]
+    data = {
+        "operators": [{"name": op.name, "rank": op.rank} for op in theory.operators],
+        "generators": ["x", "y"],
+        "rules": [
+            {"name": r.name, "variables": list(r.variables), "polynomial": format_polynomial(r.poly)}
+            for r in theory.rules
+        ],
+    }
+    path = tmp_path / "preset.json"
+    path.write_text(json.dumps(data))
+    loaded = load_ruleset(path)
+    assert loaded.operators == theory.operators
+    assert loaded.rules == theory.rules
+    assert [hash(r) for r in loaded.rules] == [hash(r) for r in theory.rules]
+
+
 def test_ruleset_file_validation_errors(tmp_path):
     bad = dict(RULESET)
     bad["rules"] = [
@@ -513,6 +546,15 @@ _BAD_RULESETS = {
     "polynomial.json": dict(RULESET, rules=[dict(RULESET["rules"][0], polynomial=5)]),
     "generators.json": dict(RULESET, generators=["x", "L"]),
     "generator.json": dict(RULESET, generators=["y*z"]),
+    # operator names the grammar cannot read back, a repeated name, a bool rank
+    "operator-twice.json": dict(
+        RULESET, operators=[{"name": "d", "rank": 1}, {"name": "d", "rank": 0}], rules=[]
+    ),
+    "operator-weight.json": dict(RULESET, operators=[{"name": "L", "rank": 1}], rules=[]),
+    "operator-space.json": dict(RULESET, operators=[{"name": "x y", "rank": 1}], rules=[]),
+    "rank-bool.json": dict(
+        RULESET, operators=[{"name": "d", "rank": 2}, {"name": "p", "rank": True}]
+    ),
 }
 
 

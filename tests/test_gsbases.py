@@ -7,6 +7,8 @@ import pytest
 from opalg.cli import parse_polynomial as P, parse_word as W
 from opalg import coeff
 from opalg.gsbases import (
+    WORD_CAP,
+    BoundExceeded,
     MonomialNotBelowAmbiguity,
     PRESETS,
     TheoryPreset,
@@ -15,6 +17,7 @@ from opalg.gsbases import (
     check_triviality,
     count_irr,
     enumerate_irr,
+    _count_words,
     enumerate_words,
     including_compositions,
     intersection_compositions,
@@ -178,6 +181,23 @@ def test_enumerate_words_matches_bruteforce():
         assert set(engine) == oracle
         assert len(engine) == len(oracle)
         assert engine == sorted(engine, key=lambda w: w.key)
+
+
+def test_word_count_before_enumerating():
+    for generators in (("x",), ("x", "y")):
+        for operators in ((OP_D,), (OP_D, OP_P)):
+            for bound in range(7):
+                words = enumerate_words(bound, generators, operators)
+                assert _count_words(bound, len(generators), len(operators)) == len(words)
+    # refused before a word is built, as soon as the count passes the cap
+    assert _count_words(8, 1, 2) <= WORD_CAP < _count_words(9, 1, 2)
+    with pytest.raises(BoundExceeded):
+        enumerate_words(9, ("x",), (OP_D, OP_P))
+
+
+def test_duplicate_generators_count_once():
+    assert count_irr(RB, 3, ["x", "x"]) == count_irr(RB, 3, ["x"])
+    assert enumerate_words(2, ("y", "x", "y"), (OP_D,)) == enumerate_words(2, ("x", "y"), (OP_D,))
 
 
 def test_enumerate_irr_smallest():

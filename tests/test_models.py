@@ -72,7 +72,7 @@ def test_integrate_is_scalar_multiple():
     for _ in range(20):
         f = constrained_series(RING, W32, RING.sample(rng), 8)
         pf = f.integrate()
-        assert pf.agrees(f.scale(-W32), window=8)
+        assert pf.agrees(f.scale(-W32))
 
 
 def test_shift_after_integrate_is_identity():
@@ -84,7 +84,7 @@ def test_shift_after_integrate_is_identity():
 
 def test_integrate_twice():
     f = constrained_series(RING, W32, Fraction(2), 8)
-    assert f.integrate().integrate().agrees(f.integrate().scale(-W32), window=8)
+    assert f.integrate().integrate().agrees(f.integrate().scale(-W32))
 
 
 # Each carrier as a model: its ``sample``, ``zero`` and ``equal`` (Hurwitz
@@ -200,9 +200,6 @@ def test_float_weight_refused():
         DegenerateModel(RING, 0.1)
     with pytest.raises(TypeError):
         HurwitzConstrainedModel(RING, 1.5, window=8)
-    deg = DegenerateModel(RING, W32)
-    with pytest.raises(TypeError):
-        evaluate_in_model(P("L*x"), deg, {"x": Fraction(1)}, weight=0.1)
     # the carriers and series refuse a float the same way
     with pytest.raises(TypeError):
         HurwitzSeries(RING, 0.1, (Fraction(1),))
@@ -224,7 +221,6 @@ def test_float_weight_refused():
     assert TruncatedPolyRing(2).coerce("-2/7").coeffs == (Fraction(-2, 7), 0)
     assert DegenerateModel(RING, "0.1").weight == Fraction(1, 10)
     assert DegenerateModel(RING, -2).weight == -2
-    assert evaluate_in_model(P("L*x"), deg, {"x": Fraction(1)}, weight="0.1") == Fraction(1, 10)
 
 
 def test_nonunital_model_rejects_unit():

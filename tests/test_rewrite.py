@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -148,7 +149,7 @@ def test_ideal_member_requires_verification():
 
 
 def test_ideal_member_examples():
-    rb = RB_THEORY.with_gs_verified()
+    rb = replace(RB_THEORY, gs_verified=True)
     gen = rb.rule("p_rota_baxter").instantiate({"u": X, "v": Y})
     assert ideal_member(gen, rb)
     assert not ideal_member(OpPolynomial.from_word(X), rb)

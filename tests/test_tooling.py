@@ -1,9 +1,14 @@
 """Repository checks that guard the library source itself."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "opalg"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "opalg"
 
 
 def test_no_assert_statements_in_library():
@@ -72,3 +77,44 @@ def test_immutable_classes_define_reduce():
                 found.append(f"{path.name}:{cls.lineno} {cls.name}")
     assert immutable, "the scan found no immutable class"
     assert not found, f"immutable classes without __reduce__: {found}"
+
+
+# Installs the benchmark's tracer over the library, runs one call of each
+# traced layer, and prints the per-layer metrics as JSON.
+_TRACED_ROUND = """
+import json, time
+import opalg
+from opalg.gsbases import VerifyConfig
+from opalg.models import HurwitzConstrainedModel, RationalRing
+from tracing import Tracer
+
+tracer = Tracer(0, clock=time.perf_counter)
+tracer.install()
+tracer.on = True
+opalg.verify_gs(opalg.preset("rb"), VerifyConfig(0, 0, False))
+opalg.enumerate_irr(opalg.preset("drb"), 3, ("x",))
+opalg.check_axioms(HurwitzConstrainedModel(RationalRing(), 2, window=6), samples=2)
+opalg.format_polynomial(opalg.normal_form(opalg.parse_polynomial("d(p(x))*y"), opalg.preset("drb").rules).poly)
+tracer.on = False
+print(json.dumps(tracer.layer_metrics()))
+"""
+
+
+def test_benchmark_tracer_installs():
+    # the tracer wraps library functions by name (rewrite.reduce_once,
+    # gsbases.check_triviality, HurwitzSeries.__mul__, ...), so renaming or
+    # removing one breaks traced benchmark runs; this reads perfbench/ only
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACED_ROUND],
+        capture_output=True, text=True, env=env, cwd=ROOT, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    metrics = json.loads(proc.stdout)
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["per_layer"]
+    expected = {m["name"] for m in declared} - {"trace.overhead_s", "trace.spans"}
+    assert expected <= set(metrics), sorted(expected - set(metrics))
+    for name in ("gsbases.compositions", "rewrite.nf_calls", "rewrite.match_calls",
+                 "terms.words_built", "coeff.scalar_ops", "models.hurwitz_muls",
+                 "gsbases.enumerate_words_s", "cli.parse_s", "cli.format_s"):
+        assert metrics[name] > 0, name
