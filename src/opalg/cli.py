@@ -344,6 +344,11 @@ def _cmd_model_eval(args):
             assignment[name] = seed
     value = evaluate_in_model(f, model, assignment)
     if args.model == "hurwitz":
+        if not value.window:
+            raise ValueError(
+                f"no reliable entry is left of the --trunc {args.trunc} window "
+                "(each d shifts one out); use a larger --trunc"
+            )
         print(json.dumps([str(c) for c in value.coeffs]))
     else:
         print(value)

@@ -3,14 +3,18 @@
 The word generator and the irreducibility scans here do not reuse the
 engine's matcher or enumerator: irreducibility is decided by hard-coded
 structural scans for each forbidden shape, and occurrence search by
-exhaustively puncturing a word and substituting back.  The test suite pins
-engine outputs against these.
+exhaustively puncturing a word and substituting back.  The Hurwitz product
+is computed by its defining triple sum rather than through the
+sigma-transform the engine uses.  The test suite pins engine outputs
+against these.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
+from opalg.models import HurwitzSeries
 from opalg.terms import OP_D, OP_P, Context, Word
 
 
@@ -150,3 +154,22 @@ def all_punctures(word):
 def oracle_occurrences(m, target):
     found = {q for q in all_punctures(m) if q.substitute(target) == m}
     return sorted(found, key=lambda q: q.key)
+
+
+# ---------------------------------------------------------------------------
+# the Hurwitz product by its defining formula
+# ---------------------------------------------------------------------------
+
+def hurwitz_product_reference(f, g):
+    """(fg)(n) = sum_{k<=n} sum_{j<=n-k} C(n,k) C(n-k,j) w^k f(n-j) g(k+j)
+    on the common window: n(n+1)(n+2)/6 carrier products for window n."""
+    w = f.weight
+    out = []
+    for n in range(min(f.window, g.window)):
+        acc = f.ring.zero()
+        for k in range(n + 1):
+            for j in range(n - k + 1):
+                c = math.comb(n, k) * math.comb(n - k, j) * w**k
+                acc = acc + c * (f.coeffs[n - j] * g.coeffs[k + j])
+        out.append(acc)
+    return HurwitzSeries(f.ring, w, out)

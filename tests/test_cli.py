@@ -573,6 +573,8 @@ _BAD_RULESETS = {
         ["hurwitz-check", "--trunc", "0"],
         ["model-eval", "x", "--model", "hurwitz", "--trunc", "0", "--assign", "x=1"],
         ["model-eval", "x", "--model", "hurwitz", "--trunc", "-2", "--assign", "x=1"],
+        # every entry shifted out of the window by d
+        ["model-eval", "d(x)", "--model", "hurwitz", "--trunc", "1", "--assign", "x=2"],
         # generators the grammar reads back as something else
         ["irr", "--size", "1", "--theory", "rb", "--generators", "L,d"],
         ["irr", "--size", "1", "--generators", "x,y*z"],

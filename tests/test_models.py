@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from opalg.cli import parse_polynomial as P
 from opalg.gsbases import preset
@@ -25,6 +27,7 @@ from opalg.models import (
 from opalg.models import unit_series
 from opalg.rewrite import normal_form
 from opalg.sampling import random_polynomial, random_word
+from oracles import hurwitz_product_reference
 
 RING = RationalRing()
 W32 = Fraction(3, 2)
@@ -58,6 +61,89 @@ def test_constrained_closed_under_product():
             fg = f * g
             for n in range(1, fg.window):
                 assert fg.coeffs[n] == (-1 / w) * fg.coeffs[n - 1]
+
+
+_RATIONALS = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 9))
+_WEIGHTS = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 9))
+# each base ring with a strategy for its elements
+_BASES = {
+    "rationals": (RING, _RATIONALS),
+    "poly-mod-t^4": (
+        TruncatedPolyRing(4),
+        st.lists(_RATIONALS, min_size=4, max_size=4).map(TruncatedPoly),
+    ),
+}
+
+
+@pytest.mark.parametrize("base", _BASES)
+@given(data=st.data(), w=_WEIGHTS)
+def test_hurwitz_product_matches_defining_formula(base, data, w):
+    # unconstrained sequences: constrained ones are (f(0), 0, 0, ...) in
+    # sigma-coordinates and would barely exercise the transform
+    ring, elements = _BASES[base]
+    f, g = (
+        HurwitzSeries(ring, w, data.draw(st.lists(elements, max_size=10)))
+        for _ in range(2)
+    )
+    fg = f * g
+    assert fg.window == min(f.window, g.window)
+    assert fg.coeffs == hurwitz_product_reference(f, g).coeffs
+    # the weighted Leibniz rule, which makes sigma = id + w*d multiplicative
+    df, dg = f.derive(), g.derive()
+    rhs = df * g + f * dg + w * (df * dg)
+    assert fg.derive().coeffs == rhs.coeffs
+
+
+class _Counted:
+    """A rational that counts the element-by-element products it takes part in."""
+
+    products = 0
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = Fraction(value)
+
+    def __add__(self, other):
+        return _Counted(self.value + other.value)
+
+    def __sub__(self, other):
+        return _Counted(self.value - other.value)
+
+    def __neg__(self):
+        return _Counted(-self.value)
+
+    def __mul__(self, other):
+        if isinstance(other, _Counted):
+            _Counted.products += 1
+            return _Counted(self.value * other.value)
+        return _Counted(self.value * other)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        return isinstance(other, _Counted) and self.value == other.value
+
+
+class _CountedRing:
+    def zero(self):
+        return _Counted(0)
+
+
+def test_hurwitz_product_makes_one_carrier_product_per_entry():
+    # a deterministic bound: the defining sum takes n(n+1)(n+2)/6 products
+    # (120 at window 8), the sigma-transform n
+    rng = random.Random(68)
+    for n in range(11):
+        f, g = (
+            HurwitzSeries(_CountedRing(), W32, [_Counted(RING.sample(rng)) for _ in range(n)])
+            for _ in range(2)
+        )
+        _Counted.products = 0
+        fg = f * g
+        assert _Counted.products == n
+        _Counted.products = 0
+        assert fg.coeffs == hurwitz_product_reference(f, g).coeffs
+        assert _Counted.products == n * (n + 1) * (n + 2) // 6
 
 
 def test_weight_mismatch():
@@ -94,6 +180,7 @@ CARRIERS = {
     "rationals": OperatorModel(RING, W32),
     "poly-mod-t^4": OperatorModel(TruncatedPolyRing(4), W32),
     "hurwitz": HurwitzConstrainedModel(RING, W32, window=8),
+    "hurwitz-over-poly-mod-t^4": HurwitzConstrainedModel(TruncatedPolyRing(4), W32, window=8),
 }
 
 
@@ -113,6 +200,7 @@ def test_carrier_ring_laws(name):
         assert eq(k * (a * b), (k * a) * b) and eq(k * (a + b), k * a + k * b)
         assert eq((k + m) * a, k * a + m * a) and eq(m * (k * a), (m * k) * a)
         assert eq(1 * a, a) and eq(0 * a, model.zero())
+        assert eq(a * k, k * a) and eq(a * m, m * a)
         if model.has_unit:
             assert eq(model.one() * a, a)
 
