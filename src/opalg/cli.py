@@ -249,7 +249,8 @@ def _cmd_verify(args):
 
 def _cmd_irr(args):
     theory = _resolve_theory(args.theory)
-    generators = [g for g in args.generators.split(",") if g]
+    # a generator listed twice is one letter, reported once in input order
+    generators = list(dict.fromkeys(g for g in args.generators.split(",") if g))
     _check_generators(generators, theory.operators, ValueError)
     words = enumerate_irr(theory, args.size, generators)
     if args.json:

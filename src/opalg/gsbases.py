@@ -47,6 +47,17 @@ a bounded family - and reduces every composition to normal form.  A report
 is produced per ambiguity; the run passes only if every composition reduces
 to zero.  This is machine evidence over a finite family, not a proof, but a
 single non-trivial composition is a definitive refutation of completeness.
+
+The irreducible words of a rule set - the words holding no rule pattern -
+span the quotient by its ideal, and form a linear basis of it when the rule
+set is complete (the Composition-Diamond lemma); :func:`enumerate_irr`
+lists them up to a size.  Pattern occurrence is monotone: a pattern found in an operator's
+argument, or among some of a word's factors, is found in the whole word.
+So the irreducible words are closed under taking arguments and
+sub-products (cf. Comon et al., *Tree Automata Techniques and
+Applications*, 2007), and :func:`enumerate_words` extends only irreducible
+words, checking each new word at its top level alone.  Its refusal past
+``WORD_CAP`` still counts every word of the size, irreducible or not.
 """
 
 from __future__ import annotations
@@ -58,8 +69,8 @@ from .poly import OpPolynomial
 from .rewrite import (
     RuleSchema,
     RuleValidationError,
+    _match_at_level,
     find_occurrences,
-    is_irreducible,
     normal_form,
 )
 from .syntax import parse_polynomial
@@ -485,64 +496,92 @@ def _count_words(size_bound, n_generators, n_operators):
     n = 1, or an operator around a word of size n - 1.  A word is a multiset
     of primes, so the counts by size are the Euler transform of the prime
     counts: n·words[n] = sum over k of c[k]·words[n - k].
+
+    The count stops once it passes WORD_CAP below the bound, and returns
+    None then.  A nonempty alphabet has a word of every size, so a bound of
+    WORD_CAP or more is refused before any counting.
     """
+    if not (n_generators or n_operators):
+        return 1
+    if size_bound >= WORD_CAP:
+        return None
     words, primes, c = [1], [0], [0]
+    total = 1
     for n in range(1, size_bound + 1):
         primes.append(n_operators * words[n - 1] + (n_generators if n == 1 else 0))
         c.append(sum(d * primes[d] for d in range(1, n + 1) if n % d == 0))
         words.append(sum(c[k] * words[n - k] for k in range(1, n + 1)) // n)
-    return sum(words)
+        total += words[n]
+        if total > WORD_CAP and n < size_bound:
+            return None
+    return total
 
 
-def enumerate_words(size_bound, generators, operators):
-    """Every word of size at most the bound over the given alphabet; each
-    generator counts once however often it is listed."""
+def enumerate_words(size_bound, generators, operators, rules=()):
+    """Every word of size at most the bound over the given alphabet that
+    contains no pattern of the rules, ascending; each generator counts once
+    however often it is listed.
+
+    Only irreducible words are extended.  A pattern occurring in an
+    operator's argument, or in a sub-product of a word's factors, occurs in
+    the whole word too, so every argument and every sub-product of an
+    irreducible word is irreducible.  Primes are therefore built around
+    irreducible words only, a partial product is dropped as soon as it is
+    not among the irreducible words of its size, and a finished word needs
+    the pattern check at its top level only.  The unit word has no pattern
+    (``RuleSchema`` refuses a unit pattern) and is kept unchecked.
+
+    The refusal past WORD_CAP still counts every word, irreducible or not.
+    """
     if size_bound < 0:
         return []
     generators = sorted(set(generators))
     total = _count_words(size_bound, len(generators), len(operators))
+    if total is None:
+        raise BoundExceeded(f"more than {WORD_CAP} words of size at most {size_bound}")
     if total > WORD_CAP:
         raise BoundExceeded(f"{total} words of size at most {size_bound}, more than {WORD_CAP}")
-    words_exact = {0: [Word.unit()]}
-    primes_exact = {}
+    patterns = [(r.lhs, frozenset(r.variables)) for r in rules]
+    out = [Word.unit()]
+    irreducible = {Word.unit()}
+    # (size, prime) by ascending size: irreducible primes below the current
+    # size, then every prime of the current size
+    primes = []
+    last = [Word.unit()]
     for k in range(1, size_bound + 1):
-        primes = []
-        if k == 1:
-            primes.extend(Word.letter(g) for g in generators)
-        primes.extend(
-            w.apply(op) for w in words_exact[k - 1] for op in operators
-        )
-        primes_exact[k] = primes
-        # words of size exactly k: multisets of primes with sizes summing to k
-        acc = []
-        _multisets(k, primes_exact, k, None, Word.unit(), acc)
-        words_exact[k] = acc
-    out = []
-    for k in range(size_bound + 1):
-        out.extend(words_exact[k])
+        fresh = [Word.letter(g) for g in generators] if k == 1 else []
+        fresh.extend(w.apply(op) for w in last for op in operators)
+        primes.extend((k, p) for p in fresh)
+        found = []
+        _multisets(k, primes, len(primes), Word.unit(), irreducible, found)
+        last = [
+            w for w in found
+            if not any(_match_at_level(lhs, w, varset) for lhs, varset in patterns)
+        ]
+        irreducible.update(last)
+        out.extend(last)
+        primes[len(primes) - len(fresh):] = [(k, p) for p in fresh if p in irreducible]
     out.sort(key=lambda w: w.key)
     return out
 
 
-def _multisets(budget, primes_exact, max_size, min_key, current, acc):
-    if budget == 0:
-        acc.append(current)
-        return
-    for size in range(1, min(budget, max_size) + 1):
-        for prime in primes_exact.get(size, ()):
-            pk = (size, prime.key)
-            if min_key is not None and pk > min_key:
-                continue
-            _multisets(budget - size, primes_exact, max_size, pk, current * prime, acc)
+def _multisets(budget, primes, top, current, irreducible, acc):
+    """Append to acc current times each multiset of primes[:top] of total
+    size budget, dropping a partial product that is not irreducible."""
+    for i in range(top):
+        size, prime = primes[i]
+        if size > budget:
+            break
+        word = current * prime
+        if size == budget:
+            acc.append(word)
+        elif word in irreducible:
+            _multisets(budget - size, primes, i + 1, word, irreducible, acc)
 
 
 def enumerate_irr(theory, size_bound, generators):
     """Words of size <= bound containing no rule pattern, ascending."""
-    return [
-        w
-        for w in enumerate_words(size_bound, generators, theory.operators)
-        if is_irreducible(w, theory.rules)
-    ]
+    return enumerate_words(size_bound, generators, theory.operators, theory.rules)
 
 
 def count_irr(theory, size_bound, generators):

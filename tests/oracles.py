@@ -7,6 +7,10 @@ exhaustively puncturing a word and substituting back.  The Hurwitz product
 is computed by its defining triple sum rather than through the
 sigma-transform the engine uses.  The test suite pins engine outputs
 against these.
+
+The one exception is ``enumerate_irr_reference``, the engine's own
+matcher run over every word: it is the slow path the pruned enumerator
+replaced, kept as the reference the pruning must reproduce exactly.
 """
 
 from __future__ import annotations
@@ -14,7 +18,9 @@ from __future__ import annotations
 import itertools
 import math
 
+from opalg.gsbases import enumerate_words
 from opalg.models import HurwitzSeries
+from opalg.rewrite import is_irreducible
 from opalg.terms import OP_D, OP_P, Context, Word
 
 
@@ -115,6 +121,30 @@ def oracle_count_irr(size_bound, generators, operators, theory_name):
         for w in all_words(size_bound, generators, operators)
         if oracle_irreducible(w, theory_name)
     )
+
+
+def enumerate_irr_reference(theory, size_bound, generators):
+    """Build every word, then keep those with no pattern at any level."""
+    return [
+        w
+        for w in enumerate_words(size_bound, generators, theory.operators)
+        if is_irreducible(w, theory.rules)
+    ]
+
+
+# cumulative irreducible-word counts up to size n, one generator
+IRR_COUNT_CLOSED_FORMS = {
+    "d-gs": lambda n: (n + 1) * (n + 2) // 2,
+    "drb-gs": lambda n: n + 1,
+    "rb": lambda n: _fibonacci(n + 4) - 2,
+}
+
+
+def _fibonacci(n):
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
 
 
 # ---------------------------------------------------------------------------

@@ -387,10 +387,22 @@ def test_cli_irr_duplicate_generators_count_once(capsys):
     code, twice, _ = _run(capsys, ["irr", "--theory", "rb", "--size", "2", "--generators", "x,x"])
     assert code == 0 and twice == once
     assert twice.splitlines()[-1] == "count: 6"
+    code, out, _ = _run(
+        capsys, ["irr", "--theory", "rb", "--size", "1", "--generators", "y,x,y", "--json"]
+    )
+    payload = json.loads(out)
+    validate_schema("irr_result", payload)
+    assert code == 0 and payload["generators"] == ["y", "x"]
 
 
 def test_cli_irr_over_the_word_cap_exit_3(capsys):
     code, out, err = _run(capsys, ["irr", "--size", "9"])
+    assert code == 3 and out == ""
+    assert err.startswith("limit:") and "Traceback" not in err
+
+
+def test_cli_irr_huge_size_refused_at_once(capsys):
+    code, out, err = _run(capsys, ["irr", "--size", "1000000000"])
     assert code == 3 and out == ""
     assert err.startswith("limit:") and "Traceback" not in err
 

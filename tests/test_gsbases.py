@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from opalg.cli import parse_polynomial as P, parse_word as W
-from opalg import coeff
+from opalg.cli import parse_polynomial as P, parse_word as W, ruleset_from_dict
+from opalg import coeff, gsbases
 from opalg.gsbases import (
     WORD_CAP,
     BoundExceeded,
@@ -30,7 +30,13 @@ from opalg.rewrite import RuleSchema, RuleValidationError, is_irreducible, norma
 from opalg.sampling import random_polynomial
 from opalg.terms import OP_D, OP_P, Word
 
-from oracles import all_words, oracle_count_irr, oracle_irreducible
+from oracles import (
+    IRR_COUNT_CLOSED_FORMS,
+    all_words,
+    enumerate_irr_reference,
+    oracle_count_irr,
+    oracle_irreducible,
+)
 
 D = preset("d")
 RB = preset("rb")
@@ -193,6 +199,12 @@ def test_word_count_before_enumerating():
     assert _count_words(8, 1, 2) <= WORD_CAP < _count_words(9, 1, 2)
     with pytest.raises(BoundExceeded):
         enumerate_words(9, ("x",), (OP_D, OP_P))
+    # past the cap below the bound the count stops; a huge bound is refused at once
+    assert _count_words(10, 1, 2) is None
+    assert _count_words(WORD_CAP, 1, 0) is None and _count_words(WORD_CAP, 0, 1) is None
+    assert _count_words(10**20, 0, 0) == 1
+    with pytest.raises(BoundExceeded, match=f"^more than {WORD_CAP} words"):
+        enumerate_words(10**20, ("x",), (OP_D,))
 
 
 def test_duplicate_generators_count_once():
@@ -223,6 +235,63 @@ def test_count_irr_against_frozen_oracle(name):
         expected = EXPECTED_IRR_COUNTS[name][bound]
         assert count_irr(theory, bound, ("x",)) == expected
         assert oracle_count_irr(bound, ("x",), theory.operators, name) == expected
+
+
+# no operators, and a rule whose pattern is letters only
+LETTERS_ONLY = ruleset_from_dict({
+    "operators": [],
+    "generators": ["x", "y"],
+    "rules": [{"name": "xx", "variables": [], "polynomial": "x*x - y"}],
+}, name="letters-only")
+
+
+@pytest.mark.parametrize(
+    "theory", [*PRESETS.values(), broken_rb(), LETTERS_ONLY], ids=lambda t: t.name
+)
+def test_enumerate_irr_matches_reference(theory):
+    for generators, top in ((("x",), 5), (("x", "y"), 4)):
+        for bound in range(top + 1):
+            assert enumerate_irr(theory, bound, generators) == enumerate_irr_reference(
+                theory, bound, generators
+            )
+
+
+def test_enumerator_extends_only_irreducible_words(monkeypatch):
+    # building every word checks all 3,236 words of size <= 5 in x, y
+    checked = set()
+    match = gsbases._match_at_level
+
+    def counting(pattern, level, varset):
+        checked.add(level)
+        return match(pattern, level, varset)
+
+    monkeypatch.setattr(gsbases, "_match_at_level", counting)
+    words = enumerate_irr(DRB, 5, ("x", "y"))
+    assert len(words) == 842
+    assert len(checked) == 1165 < _count_words(5, 2, 2) == 3236
+
+
+@pytest.mark.parametrize("name", sorted(IRR_COUNT_CLOSED_FORMS))
+def test_count_irr_closed_forms(name):
+    for bound in range(9):
+        assert count_irr(preset(name), bound, ("x",)) == IRR_COUNT_CLOSED_FORMS[name](bound)
+
+
+# counts from the engine, frozen; the oracle scans confirm them up to oracle_top
+@pytest.mark.parametrize(
+    "name, generators, counts, oracle_top",
+    [
+        ("rb", ("x", "y"), [1, 4, 11, 27, 63, 144], 4),
+        ("drb", ("x",), [1, 4, 11, 30, 84, 245, 742], 3),
+    ],
+    ids=["rb-x,y", "drb-x"],
+)
+def test_count_irr_frozen_beyond_the_oracle(name, generators, counts, oracle_top):
+    theory = preset(name)
+    for bound, expected in enumerate(counts):
+        assert count_irr(theory, bound, generators) == expected
+        if bound <= oracle_top:
+            assert oracle_count_irr(bound, generators, theory.operators, name) == expected
 
 
 def test_normal_forms_live_on_irreducibles():
