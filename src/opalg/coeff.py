@@ -10,10 +10,14 @@ therefore structural equality.
 Quasi-idempotent operators of weight L only ever produce coefficients c·L^k
 (c rational, k an integer), so each scalar also carries its *monomial view*
 ``(c, k)``, or ``None`` when it is not of that form.  Products, sums of equal
-powers, negation and inversion of monomials are built straight from their
-views, without a polynomial gcd; every other case takes the general Q(L)
-path.  Both paths give the same canonical ``num``/``den``, hash and view, so
-no result depends on which path built it.
+powers, negation, inversion and powers of monomials are built straight from
+their views, without a polynomial gcd; every other case takes the general
+Q(L) path.  A monomial scalar is stored as its view alone: its dense
+``num``/``den`` are built on first read and its hash on first call, so
+``L^1000000`` costs no more than ``L``.  Equality, truth and the
+``is_zero``/``is_one`` tests answer from the view.  Both paths give the same
+canonical ``num``/``den``, hash and view, so no result depends on which path
+built it.
 
 Scalars are immutable and hashable; all operations return new values.
 Inputs must be exact: a ``float`` is refused (see :func:`exact_fraction`).
@@ -133,7 +137,7 @@ class Scalar:
     ``None`` otherwise (zero included).
     """
 
-    __slots__ = ("num", "den", "monomial", "_hash")
+    __slots__ = ("_num", "_den", "monomial", "_hash")
 
     def __init__(self, num, den=(_F1,)):
         num = _trim(tuple(exact_fraction(c) for c in num))
@@ -160,7 +164,34 @@ class Scalar:
         raise AttributeError("Scalar is immutable")
 
     def __reduce__(self):
-        return Scalar, (self.num, self.den)
+        if self.monomial is not None:
+            return _from_monomial, self.monomial
+        return Scalar, (self._num, self._den)
+
+    # -- dense form ---------------------------------------------------------
+
+    @property
+    def num(self):
+        """Numerator coefficients, by degree; built on first read for a monomial."""
+        if self._num is None:
+            self._densify()
+        return self._num
+
+    @property
+    def den(self):
+        """Monic denominator coefficients, by degree."""
+        if self._den is None:
+            self._densify()
+        return self._den
+
+    def _densify(self):
+        c, k = self.monomial
+        if k >= 0:
+            _setattr(self, "_num", (_F0,) * k + (c,))
+            _setattr(self, "_den", (_F1,))
+        else:
+            _setattr(self, "_num", (c,))
+            _setattr(self, "_den", (_F0,) * -k + (_F1,))
 
     # -- constructors -------------------------------------------------------
 
@@ -176,10 +207,11 @@ class Scalar:
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self):
-        return not self.num
+        return self.monomial is None and not self._num
 
     def is_one(self):
-        return self.num == (_F1,) and self.den == (_F1,)
+        m = self.monomial
+        return m is not None and m[1] == 0 and m[0] == 1
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -214,12 +246,12 @@ class Scalar:
         return Scalar(_pmul(self.num, other.num), _pmul(self.den, other.den))
 
     def inverse(self):
-        if not self.num:
-            raise ZeroDivisionError("inverse of zero scalar")
         a = self.monomial
         if a is not None:
             return _from_monomial(1 / a[0], -a[1])
-        return Scalar(self.den, self.num)
+        if not self._num:
+            raise ZeroDivisionError("inverse of zero scalar")
+        return Scalar(self._den, self._num)
 
     def __truediv__(self, other):
         if not isinstance(other, Scalar):
@@ -229,15 +261,19 @@ class Scalar:
     def __pow__(self, n):
         if not isinstance(n, int):
             return NotImplemented
+        a = self.monomial
+        if a is not None:
+            return _from_monomial(a[0] ** n, a[1] * n)
         if n < 0:
             return self.inverse() ** (-n)
         out = ONE
         base = self
-        while n:
+        while n:  # repeated squaring, from the low bit up
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     # -- evaluation ---------------------------------------------------------
@@ -247,6 +283,9 @@ class Scalar:
         w = exact_fraction(weight)
         if w == 0:
             raise InvalidWeight("weight must be nonzero")
+        a = self.monomial
+        if a is not None:
+            return a[0] * w ** a[1]
         d = _peval(self.den, w)
         if d == 0:
             raise PoleAtWeight(f"denominator vanishes at weight {w}")
@@ -255,17 +294,22 @@ class Scalar:
     # -- comparisons / hashing ----------------------------------------------
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Scalar)
-            and self.num == other.num
-            and self.den == other.den
-        )
+        if not isinstance(other, Scalar):
+            return False
+        a = self.monomial
+        if a is not None or other.monomial is not None:
+            return a == other.monomial
+        return self._num == other._num and self._den == other._den
 
     def __hash__(self):
-        return self._hash
+        h = self._hash
+        if h is None:
+            h = hash((self.num, self.den))
+            _setattr(self, "_hash", h)
+        return h
 
     def __bool__(self):
-        return bool(self.num)
+        return self.monomial is not None or bool(self._num)
 
     def __repr__(self):
         return f"Scalar({self})"
@@ -306,23 +350,19 @@ _setattr = object.__setattr__
 
 
 def _fill(s, num, den, monomial):
-    _setattr(s, "num", num)
-    _setattr(s, "den", den)
+    _setattr(s, "_num", num)
+    _setattr(s, "_den", den)
     _setattr(s, "monomial", monomial)
-    _setattr(s, "_hash", hash((num, den)))
+    _setattr(s, "_hash", None)
 
 
 def _from_monomial(c, k):
-    """c·L^k (c a Fraction) in the canonical form of the general path;
-    ``ZERO`` when c is zero."""
+    """c·L^k (c a Fraction) stored as its view alone; ``ZERO`` when c is
+    zero.  The dense form is the general path's, built on first read."""
     if not c:
         return ZERO
-    if k >= 0:
-        num, den = (_F0,) * k + (c,), (_F1,)
-    else:
-        num, den = (c,), (_F0,) * -k + (_F1,)
     s = object.__new__(Scalar)
-    _fill(s, num, den, (c, k))
+    _fill(s, None, None, (c, k))
     return s
 
 

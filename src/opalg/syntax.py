@@ -4,14 +4,17 @@ Grammar (see docs/grammar.ebnf): letters are identifiers, ``*`` multiplies,
 ``d(...)`` and ``p(...)`` apply operators, ``1`` is the unit word, ``L`` is
 the formal weight, ``p/q`` divides scalars, ``^`` raises to an integer
 power.  Example: ``(L^-1)*d(x*y) - 2*p(x)*p(y)``.
+
+The parser gathers each term's coefficient, letters and operator factors
+and builds one word and one coefficient per term; parenthesised sums are
+multiplied in last, and only the finished polynomial is an ``OpPolynomial``.
 """
 
 from __future__ import annotations
 
-from . import coeff
-from .coeff import Scalar
+from .coeff import ONE, ZERO, Scalar
 from .poly import OpPolynomial
-from .terms import OP_D, OP_P, Word
+from .terms import OP_D, OP_P, OpApp, Word
 
 __all__ = [
     "ParseError", "parse_polynomial", "parse_word", "format_polynomial", "is_letter_name",
@@ -62,6 +65,10 @@ def _tokenize(text):
 
 
 class _Parser:
+    """Values are plain ``{Word: Scalar}`` dicts with no zero coefficient.
+    A factor is either one term ``(coefficient, letter names, operator
+    factors)`` or a dict of two or more terms."""
+
     def __init__(self, text, operators):
         self.tokens = _tokenize(text)
         self.pos = 0
@@ -78,11 +85,11 @@ class _Parser:
         return tok
 
     def parse(self):
-        poly = self.sum()
+        terms = self.sum()
         tok = self.peek()
         if tok[0] != "END":
             raise ParseError(f"unexpected {tok[1]!r}", tok[2])
-        return poly
+        return terms
 
     def sum(self):
         negate = False
@@ -90,27 +97,43 @@ class _Parser:
             negate = self.take()[0] == "-"
         acc = self.product()
         if negate:
-            acc = -acc
+            acc = {w: -c for w, c in acc.items()}
         while self.peek()[0] in ("+", "-"):
-            op = self.take()[0]
-            term = self.product()
-            acc = acc - term if op == "-" else acc + term
+            negate = self.take()[0] == "-"
+            for w, c in self.product().items():
+                _add_term(acc, w, -c if negate else c)
         return acc
 
     def product(self):
-        acc = self.power()
-        while self.peek()[0] in ("*", "/"):
-            op = self.take()[0]
-            rhs = self.power()
-            if op == "*":
-                acc = acc * rhs
+        coef, letters, ops, sums = None, [], [], []
+        factor = self.power()
+        while True:
+            if type(factor) is dict:
+                sums.append(factor)
             else:
-                c = _as_scalar(rhs)
+                c, more_letters, more_ops = factor
+                if c is not ONE:
+                    coef = c if coef is None else coef * c
+                letters.extend(more_letters)
+                ops.extend(more_ops)
+            if self.peek()[0] not in ("*", "/"):
+                break
+            op = self.take()[0]
+            factor = self.power()
+            if op == "/":
+                c = _as_scalar(factor)
                 if c is None:
                     raise ParseError("division by a non-scalar", self.peek()[2])
                 if c.is_zero():
                     raise ParseError("division by zero", self.peek()[2])
-                acc = acc.scale(c.inverse())
+                factor = (c.inverse(), (), ())
+        if coef is None:
+            coef = ONE
+        elif not coef:
+            return {}
+        acc = {Word(letters, ops) if letters or ops else _UNIT: coef}
+        for factor in sums:
+            acc = _mul(acc, factor)
         return acc
 
     def power(self):
@@ -126,33 +149,36 @@ class _Parser:
         exp = sign * int(tok[1])
         c = _as_scalar(base)
         if c is not None:
-            return OpPolynomial.from_word(Word.unit(), c**exp)
+            return (c**exp, (), ())
         if exp < 0:
             raise ParseError("negative power of a non-scalar", caret[2])
-        acc = OpPolynomial.one()
+        if type(base) is not dict:
+            c, letters, ops = base
+            return (c**exp, letters * exp, ops * exp)
+        acc = {_UNIT: ONE}
         while exp:  # repeated squaring, from the low bit up
             if exp & 1:
-                acc = acc * base
+                acc = _mul(acc, base)
             exp >>= 1
             if exp:
-                base = base * base
-        return acc
+                base = _mul(base, base)
+        return _factor(acc)
 
     def atom(self):
         tok = self.peek()
         kind, text, at = tok
         if kind == "INT":
             self.take()
-            return OpPolynomial.from_word(Word.unit(), Scalar.from_rational(int(text)))
+            return (Scalar.from_rational(int(text)), (), ())
         if kind == "(":
             self.take()
             inner = self.sum()
             self.take(")")
-            return inner
+            return _factor(inner)
         if kind == "IDENT":
             self.take()
             if text == "L":
-                return OpPolynomial.from_word(Word.unit(), Scalar.lam(1))
+                return (_L, (), ())
             if self.peek()[0] == "(":
                 op = self.ops.get(text)
                 if op is None:
@@ -160,21 +186,58 @@ class _Parser:
                 self.take("(")
                 inner = self.sum()
                 self.take(")")
-                return inner.apply_operator(op)
+                if len(inner) == 1:
+                    [(w, c)] = inner.items()
+                    return (c, (), (OpApp(op, w),))
+                return _factor({w.apply(op): c for w, c in inner.items()})
             if text in self.ops:
                 raise ParseError(f"operator {text!r} used as a letter", at)
-            return OpPolynomial.from_word(Word.letter(text))
+            return (ONE, (text,), ())
         raise ParseError(f"unexpected {text!r}", at)
 
 
-def _as_scalar(poly):
-    """The scalar value of a polynomial supported on the unit word, else None."""
-    if poly.is_zero():
-        return coeff.ZERO
-    terms = poly.terms_desc()
-    if len(terms) == 1 and terms[0][0].is_unit():
-        return terms[0][1]
-    return None
+_L = Scalar.lam(1)
+_UNIT = Word.unit()
+_ZERO_TERM = (ZERO, (), ())
+
+
+def _factor(terms):
+    """A dict of several terms as it is, else its one term or zero as a
+    ``(coefficient, letter names, operator factors)`` triple."""
+    if len(terms) == 1:
+        [(w, c)] = terms.items()
+        return (c, w.letters, w.ops)
+    return terms if terms else _ZERO_TERM
+
+
+def _as_scalar(factor):
+    """The scalar value of a factor on the unit word, else None."""
+    if type(factor) is dict:
+        return None
+    c, letters, ops = factor
+    return None if letters or ops else c
+
+
+def _add_term(terms, w, c):
+    """Add c·w into a term dict, dropping the word if its coefficient cancels."""
+    prev = terms.get(w)
+    if prev is None:
+        terms[w] = c
+    else:
+        c = prev + c
+        if c:
+            terms[w] = c
+        else:
+            del terms[w]
+
+
+def _mul(a, b):
+    """The product of two term dicts, as a new dict."""
+    out = {}
+    for w1, c1 in a.items():
+        for w2, c2 in b.items():
+            _add_term(out, w1 * w2, c1 * c2)
+    return out
 
 
 def is_letter_name(name, operators=DEFAULT_OPERATORS):
@@ -192,7 +255,7 @@ def is_letter_name(name, operators=DEFAULT_OPERATORS):
 
 
 def parse_polynomial(text, operators=DEFAULT_OPERATORS):
-    return _Parser(text, operators).parse()
+    return OpPolynomial(_Parser(text, operators).parse())
 
 
 def parse_word(text, operators=DEFAULT_OPERATORS):

@@ -5,7 +5,9 @@ engine's matcher or enumerator: irreducibility is decided by hard-coded
 structural scans for each forbidden shape, and occurrence search by
 exhaustively puncturing a word and substituting back.  The Hurwitz product
 is computed by its defining triple sum rather than through the
-sigma-transform the engine uses.  The test suite pins engine outputs
+sigma-transform the engine uses, and the reference parser builds a whole
+polynomial for every atom and combines them with polynomial arithmetic
+rather than gathering each term's factors.  The test suite pins engine outputs
 against these.
 
 The one exception is ``enumerate_irr_reference``, the engine's own
@@ -18,36 +20,44 @@ from __future__ import annotations
 import itertools
 import math
 
+from opalg import coeff
+from opalg.coeff import Scalar
 from opalg.gsbases import enumerate_words
 from opalg.models import HurwitzSeries
+from opalg.poly import OpPolynomial
 from opalg.rewrite import is_irreducible
+from opalg.syntax import DEFAULT_OPERATORS, ParseError, _tokenize
 from opalg.terms import OP_D, OP_P, Context, Word
 
 
 # ---------------------------------------------------------------------------
-# brute-force word enumeration: multisets assembled with itertools
+# brute-force word enumeration: multisets of primes by remaining size
 # ---------------------------------------------------------------------------
 
 def all_words(size_bound, generators, operators):
-    """Every word of size <= size_bound, independently of the engine's enumerator."""
+    """Every word of size <= size_bound, independently of the engine's enumerator.
+
+    A word is a multiset of primes: letters, and operators applied to smaller
+    words.  The words of size n are the multisets of primes of total size n,
+    chosen in a fixed prime order with the size still to fill as the budget.
+    """
     words_by_size = {0: {Word.unit()}}
+    primes = [(1, Word.letter(g)) for g in generators]  # ascending by size
     for n in range(1, size_bound + 1):
-        factors = []
-        for g in generators:
-            factors.append((1, Word.letter(g)))
-        for k in range(1, n + 1):
-            for w in words_by_size.get(k - 1, ()):
-                for op in operators:
-                    factors.append((k, w.apply(op)))
+        primes.extend((n, w.apply(op)) for w in words_by_size[n - 1] for op in operators)
         found = set()
-        for count in range(1, n + 1):
-            for combo in itertools.combinations_with_replacement(factors, count):
-                if sum(sz for sz, _ in combo) != n:
-                    continue
-                word = Word.unit()
-                for _, prime in combo:
-                    word = word * prime
+
+        def extend(start, budget, word):
+            if not budget:
                 found.add(word)
+                return
+            for i in range(start, len(primes)):
+                size, prime = primes[i]
+                if size > budget:
+                    break
+                extend(i, budget - size, word * prime)
+
+        extend(0, n, Word.unit())
         words_by_size[n] = found
     out = set()
     for group in words_by_size.values():
@@ -203,3 +213,127 @@ def hurwitz_product_reference(f, g):
                 acc = acc + c * (f.coeffs[n - j] * g.coeffs[k + j])
         out.append(acc)
     return HurwitzSeries(f.ring, w, out)
+
+
+# ---------------------------------------------------------------------------
+# the term grammar with one polynomial per atom
+# ---------------------------------------------------------------------------
+
+def parse_polynomial_reference(text, operators=DEFAULT_OPERATORS):
+    """``syntax.parse_polynomial`` by polynomial arithmetic on every atom,
+    with the same tokens, errors and error columns."""
+    return _ReferenceParser(text, operators).parse()
+
+
+class _ReferenceParser:
+    def __init__(self, text, operators):
+        self.tokens = _tokenize(text)
+        self.pos = 0
+        self.ops = {op.name: op for op in operators}
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def take(self, kind=None):
+        tok = self.tokens[self.pos]
+        if kind is not None and tok[0] != kind:
+            raise ParseError(f"expected {kind}, found {tok[1]!r}", tok[2])
+        self.pos += 1
+        return tok
+
+    def parse(self):
+        poly = self.sum()
+        tok = self.peek()
+        if tok[0] != "END":
+            raise ParseError(f"unexpected {tok[1]!r}", tok[2])
+        return poly
+
+    def sum(self):
+        negate = False
+        if self.peek()[0] in ("+", "-"):
+            negate = self.take()[0] == "-"
+        acc = self.product()
+        if negate:
+            acc = -acc
+        while self.peek()[0] in ("+", "-"):
+            op = self.take()[0]
+            term = self.product()
+            acc = acc - term if op == "-" else acc + term
+        return acc
+
+    def product(self):
+        acc = self.power()
+        while self.peek()[0] in ("*", "/"):
+            op = self.take()[0]
+            rhs = self.power()
+            if op == "*":
+                acc = acc * rhs
+            else:
+                c = _poly_scalar(rhs)
+                if c is None:
+                    raise ParseError("division by a non-scalar", self.peek()[2])
+                if c.is_zero():
+                    raise ParseError("division by zero", self.peek()[2])
+                acc = acc.scale(c.inverse())
+        return acc
+
+    def power(self):
+        base = self.atom()
+        if self.peek()[0] != "^":
+            return base
+        caret = self.take()
+        sign = 1
+        if self.peek()[0] == "-":
+            self.take()
+            sign = -1
+        exp = sign * int(self.take("INT")[1])
+        c = _poly_scalar(base)
+        if c is not None:
+            return OpPolynomial.from_word(Word.unit(), c**exp)
+        if exp < 0:
+            raise ParseError("negative power of a non-scalar", caret[2])
+        acc = OpPolynomial.one()
+        while exp:
+            if exp & 1:
+                acc = acc * base
+            exp >>= 1
+            if exp:
+                base = base * base
+        return acc
+
+    def atom(self):
+        kind, text, at = self.peek()
+        if kind == "INT":
+            self.take()
+            return OpPolynomial.from_word(Word.unit(), Scalar.from_rational(int(text)))
+        if kind == "(":
+            self.take()
+            inner = self.sum()
+            self.take(")")
+            return inner
+        if kind == "IDENT":
+            self.take()
+            if text == "L":
+                return OpPolynomial.from_word(Word.unit(), Scalar.lam(1))
+            if self.peek()[0] == "(":
+                op = self.ops.get(text)
+                if op is None:
+                    raise ParseError(f"unknown operator {text!r}", at)
+                self.take("(")
+                inner = self.sum()
+                self.take(")")
+                return inner.apply_operator(op)
+            if text in self.ops:
+                raise ParseError(f"operator {text!r} used as a letter", at)
+            return OpPolynomial.from_word(Word.letter(text))
+        raise ParseError(f"unexpected {text!r}", at)
+
+
+def _poly_scalar(poly):
+    """The scalar value of a polynomial supported on the unit word, else None."""
+    if poly.is_zero():
+        return coeff.ZERO
+    terms = poly.terms_desc()
+    if len(terms) == 1 and terms[0][0].is_unit():
+        return terms[0][1]
+    return None

@@ -137,10 +137,11 @@ def _ref_pow(a, n):
     return out
 
 
-def _ref_lam(k):
+def _ref_lam(k, c=1):
+    """c·L^k from the general constructor, never through a view."""
     if k >= 0:
-        return Scalar((0,) * k + (1,))
-    return Scalar((1,), (0,) * -k + (1,))
+        return Scalar((0,) * k + (c,))
+    return Scalar((c,), (0,) * -k + (1,))
 
 
 def _view_by_scan(s):
@@ -156,7 +157,7 @@ def _view_by_scan(s):
 def _assert_same(got, ref):
     assert got.num == ref.num and got.den == ref.den
     assert all(type(c) is Fraction for c in got.num + got.den)
-    assert hash(got) == hash(ref)
+    assert hash(got) == hash(ref) == hash((ref.num, ref.den))
     assert got.monomial == ref.monomial == _view_by_scan(ref)
     if got.monomial is not None:
         assert type(got.monomial[0]) is Fraction
@@ -233,3 +234,77 @@ def test_scalar_copy_and_pickle(a):
     for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
         assert b == a and hash(b) == hash(a)
         assert (b.num, b.den, b.monomial) == (a.num, a.den, a.monomial)
+
+
+# ---------------------------------------------------------------------------
+# monomial scalars keep only their view until the dense form is read
+# ---------------------------------------------------------------------------
+
+def _is_lazy(s):
+    return s._num is None and s._den is None
+
+
+@given(_NONZERO, _POWERS, _NONZERO, _POWERS, st.integers(min_value=-3, max_value=3))
+def test_lazy_monomials_match_general_path(c, k, e, j, n):
+    a, b = Scalar.from_rational(c) * Scalar.lam(k), Scalar.from_rational(e) * Scalar.lam(j)
+    built = {
+        "a": (a, _ref_lam(k, c)),
+        "a*b": (a * b, _ref_lam(k + j, c * e)),
+        "-a": (-a, _ref_lam(k, -c)),
+        "1/a": (a.inverse(), _ref_lam(-k, 1 / c)),
+        "a^n": (a**n, _ref_lam(k * n, c**n)),
+    }
+    if k == j and c + e:
+        built["a+b"] = (a + b, _ref_lam(k, c + e))
+    for name, (lazy, ref) in built.items():
+        assert _is_lazy(lazy), name
+        # equality, truth and the predicates answer from the view
+        assert lazy == ref and ref == lazy and not lazy != ref
+        assert lazy and not lazy.is_zero() and lazy.is_one() == (ref.num == ref.den)
+        assert _is_lazy(lazy), name
+        restored = pickle.loads(pickle.dumps(lazy))
+        assert _is_lazy(restored) and restored == ref
+        assert hash(lazy) == hash(ref) == hash(restored)
+        _assert_same(lazy, ref)
+        _assert_same(restored, ref)
+        _assert_same(copy.deepcopy(lazy), ref)
+
+
+def test_huge_powers_of_the_weight_stay_views():
+    big = Scalar.lam(10**6)
+    half = Scalar.from_rational(1, 2)
+    values = [big, big * big, half * big, big**3, big**-2, big.inverse(), -big, big + big]
+    for s in values:
+        assert _is_lazy(s) and s.is_zero() is False and s != ONE
+    assert big * big == Scalar.lam(2 * 10**6) and big**3 == Scalar.lam(3 * 10**6)
+    assert (big * big.inverse()).is_one()
+    assert big.specialize(-1) == 1 and (half * big**-2).specialize(1) == Fraction(1, 2)
+    assert all(_is_lazy(s) for s in values)
+
+
+def test_nf_of_a_huge_power_of_the_weight_stays_a_view(monkeypatch, capsys):
+    from opalg.cli import main
+
+    def refuse(self):
+        raise AssertionError(f"dense form built for L^{self.monomial[1]}")
+
+    monkeypatch.setattr(Scalar, "_densify", refuse)
+    assert main(["nf", "--theory", "rb", "L^1000000*x"]) == 0
+    assert capsys.readouterr().out == "L^1000000*x\n"
+
+
+def test_general_powers_square_only_as_needed(monkeypatch):
+    a = Scalar((1, 1))  # 1 + L: no monomial view
+    assert a**5 == a * a * a * a * a
+    calls = []
+    mul = Scalar.__mul__
+
+    def counted(x, y):
+        calls.append((x, y))
+        return mul(x, y)
+
+    monkeypatch.setattr(Scalar, "__mul__", counted)
+    got = a**4
+    # two squarings and one product; no squaring after the last bit
+    assert len(calls) == 3
+    assert got == _ref_pow(a, 4)

@@ -243,6 +243,8 @@ def test_forced_table_clears_change_no_result(monkeypatch):
     ]
     before = [normal_form(f, theory.rules).poly for f in inputs]
     words = sorted({w for g in before for w in g.monomials()}, key=lambda w: w.key)
+    # clear a copy of the table, so words built by other tests stay interned
+    monkeypatch.setattr(terms, "_TABLE", dict(terms._TABLE))
     monkeypatch.setattr(terms, "_TABLE_LIMIT", 8)
     for i in range(10):  # words never built before: misses that force a clear
         Word.letter(f"fresh{i}")
