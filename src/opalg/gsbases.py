@@ -63,6 +63,7 @@ words, checking each new word at its top level alone.  Its refusal past
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 
 from .poly import OpPolynomial
@@ -497,6 +498,9 @@ def _count_words(size_bound, n_generators, n_operators):
     of primes, so the counts by size are the Euler transform of the prime
     counts: n·words[n] = sum over k of c[k]·words[n - k].
 
+    Without operators the words are the monomials in the generators, and
+    there are C(n + g, g) of size at most n over g generators.
+
     The count stops once it passes WORD_CAP below the bound, and returns
     None then.  A nonempty alphabet has a word of every size, so a bound of
     WORD_CAP or more is refused before any counting.
@@ -505,6 +509,10 @@ def _count_words(size_bound, n_generators, n_operators):
         return 1
     if size_bound >= WORD_CAP:
         return None
+    if not n_operators:
+        if math.comb(size_bound - 1 + n_generators, n_generators) > WORD_CAP:
+            return None
+        return math.comb(size_bound + n_generators, n_generators)
     words, primes, c = [1], [0], [0]
     total = 1
     for n in range(1, size_bound + 1):
@@ -541,7 +549,7 @@ def enumerate_words(size_bound, generators, operators, rules=()):
         raise BoundExceeded(f"more than {WORD_CAP} words of size at most {size_bound}")
     if total > WORD_CAP:
         raise BoundExceeded(f"{total} words of size at most {size_bound}, more than {WORD_CAP}")
-    patterns = [(r.lhs, frozenset(r.variables)) for r in rules]
+    patterns = [(r.lhs, r.varset) for r in rules]
     out = [Word.unit()]
     irreducible = {Word.unit()}
     # (size, prime) by ascending size: irreducible primes below the current

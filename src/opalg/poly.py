@@ -75,6 +75,10 @@ class OpPolynomial:
     def monomials(self):
         return self._terms.keys()
 
+    def items(self):
+        """(word, coefficient) pairs in the order the words were added."""
+        return self._terms.items()
+
     def terms_desc(self):
         """(word, coefficient) pairs in descending order, cached."""
         cached = self._desc

@@ -13,6 +13,13 @@ factors become the context, and a variable standing alone inside an operator
 argument absorbs whatever of that argument is left.  Patterns are required
 to be linear (each variable read exactly once), which keeps the enumeration
 of matches complete and finite.
+
+The levels are walked by structure: the matches in a word are those at its
+top level, plus, for each distinct operator factor f, the matches in f's
+argument with the context grown by one level (the operator, and the word
+without f as the sibling).  The argument's matches are memoised like the
+word's, so a word built around already-matched arguments costs one
+top-level match.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from operator import attrgetter
 
 from .poly import OpPolynomial
 from .sampling import random_word
-from .terms import Context, Word, _tuple_subtract, positions, substitute_letters
+from .terms import Context, Word, _tuple_subtract, substitute_letters
 
 __all__ = [
     "RuleSchema",
@@ -68,7 +75,7 @@ def _letter_count(word, name):
 class RuleSchema:
     """A named monic rewrite rule with linear variable pattern."""
 
-    __slots__ = ("name", "variables", "poly", "lhs", "rhs", "_hash")
+    __slots__ = ("name", "variables", "varset", "poly", "lhs", "rhs", "_hash")
 
     def __init__(self, name, variables, poly):
         variables = tuple(variables)
@@ -79,7 +86,7 @@ class RuleSchema:
             raise RuleValidationError(f"rule {name}: not monic")
         if lhs.is_unit():
             raise RuleValidationError(f"rule {name}: pattern is the unit word")
-        varset = set(variables)
+        varset = frozenset(variables)
         for v in varset:
             if _letter_count(lhs, v) != 1:
                 raise RuleValidationError(
@@ -94,6 +101,7 @@ class RuleSchema:
         rhs = OpPolynomial.from_word(lhs) - poly
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "varset", varset)
         object.__setattr__(self, "poly", poly)
         object.__setattr__(self, "lhs", lhs)
         object.__setattr__(self, "rhs", rhs)
@@ -255,52 +263,73 @@ def _match_at_level(pattern, level, varset):
     return out
 
 
-def _occurrences(m, pattern, varset):
-    """Every (context, binding) at which pattern occurs in m, unsorted."""
-    out = []
-    for spine, sub in positions(m):
-        for binding, leftover in _match_at_level(pattern, sub, varset):
-            cofactors = [s for s, _ in spine]
-            cofactors.append(leftover)
-            out.append((Context(cofactors, tuple(op for _, op in spine)), binding))
+def _occurrences(m, rule, pattern, varset):
+    """The matches of pattern in m, sorted by ``Match.key``: those at the
+    top level, then those in each distinct operator argument wrapped in one
+    more level (m without the factor, its operator).  The argument's matches
+    come from ``_matches``, or uncached from this function if rule is None.
+    """
+    out = [
+        Match(rule, Context((leftover,), ()), binding)
+        for binding, leftover in _match_at_level(pattern, m, varset)
+    ]
+    seen = None
+    for f in m.ops:
+        if f == seen:
+            continue
+        seen = f
+        if rule is None:
+            inner = _occurrences(f.arg, None, pattern, varset)
+        else:
+            inner = _matches(f.arg, rule)
+        if inner:
+            sibling = m.subtract(Word((), (f,)))
+            for mt in inner:
+                q = mt.context
+                q = Context((sibling,) + q.cofactors, (f.op,) + q.ops)
+                out.append(Match(rule, q, mt.binding))
+    out.sort(key=_key)
     return out
+
+
+def _matches(m, rule):
+    """The memoised body of ``match_rule``; the recursion calls it, so a
+    wrapper around the public name sees only calls from outside."""
+    key = (rule, m)
+    cached = _MATCH_CACHE.get(key)
+    if cached is None:
+        cached = _occurrences(m, rule, rule.lhs, rule.varset)
+        if len(_MATCH_CACHE) > _MATCH_CACHE_LIMIT:
+            _MATCH_CACHE.clear()
+        _MATCH_CACHE[key] = cached
+    return cached
 
 
 def match_rule(m, rule):
-    """Every (context, binding) at which the rule's pattern occurs in m.
+    """Every match of the rule's pattern in m, sorted by ``Match.key``:
+    those at the top level of m and those in each distinct operator argument.
 
-    Words are immutable and recur across reduction steps, so results are
-    memoised per (rule, word); the cache is cleared when it grows large.
+    Words are immutable and recur across reduction steps and as arguments
+    of other words, so results are memoised per (rule, word) at every
+    level; the cache is cleared when it grows large.
     """
-    key = (rule, m)
-    cached = _MATCH_CACHE.get(key)
-    if cached is not None:
-        return cached
-    out = [
-        Match(rule, ctx, binding)
-        for ctx, binding in _occurrences(m, rule.lhs, set(rule.variables))
-    ]
-    out.sort(key=lambda mt: mt.key)
-    if len(_MATCH_CACHE) > _MATCH_CACHE_LIMIT:
-        _MATCH_CACHE.clear()
-    _MATCH_CACHE[key] = out
-    return out
+    return _matches(m, rule)
 
 
 def find_occurrences(m, target):
     """All contexts q with q|_target == m, complete and duplicate-free.
 
-    These are the matches of the variable-free pattern ``target``.  They are
-    not memoised: callers ask once per throwaway word.  ``target`` must not
-    be the unit word.
+    These are the matches of the variable-free pattern ``target``, found
+    by the same structural recursion as ``match_rule``.  They are not
+    memoised: callers ask once per throwaway word.  ``target`` must not be
+    the unit word.
     """
     if target.is_unit():
         raise ValueError("occurrence target must not be the unit word")
-    out = [ctx for ctx, _ in _occurrences(m, target, frozenset())]
-    out.sort(key=lambda c: c.key)
-    return out
+    return [mt.context for mt in _occurrences(m, None, target, frozenset())]
 
 
+_key = attrgetter("key")
 _MATCH_CACHE = {}
 _MATCH_CACHE_LIMIT = 400_000
 
@@ -345,9 +374,6 @@ def reduce_once(f, rules, strategy="leading", rng=None):
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-_word_key = attrgetter("key")
-
-
 def normal_form(
     f,
     rules,
@@ -378,8 +404,8 @@ def normal_form(
     if step_limit < 0:
         raise ValueError("the step limit must not be negative")
     rng = random.Random(seed) if strategy == "random" else None
-    terms = {w: f.coefficient(w) for w in f.monomials()}
-    open_ = sorted(terms, key=_word_key)
+    terms = dict(f.items())
+    open_ = sorted(terms, key=_key)
     found = {}
     steps = []
     count = 0
@@ -418,24 +444,25 @@ def normal_form(
             word = open_.pop(i)
             match = found[word][r]
         c = terms.pop(word)
-        repl = match.rule.rhs_instance(match.binding).in_context(match.context)
-        for w in repl.monomials():
+        ctx, binding = match.context, match.binding
+        for w0, c0 in match.rule.rhs.items():
+            w = ctx.substitute(substitute_letters(w0, binding))
             if not w < word:
                 raise RuleValidationError(
                     f"rule {match.rule.name}: instance monomial {w} not below redex {word}"
                 )
-            x = repl.coefficient(w) * c
+            x = c0 * c
             prev = terms.get(w)
             if prev is None:
                 terms[w] = x
-                bisect.insort(open_, w, key=_word_key)
+                bisect.insort(open_, w, key=_key)
                 continue
             s = prev + x
             if s:
                 terms[w] = s
             else:
                 del terms[w]
-                i = bisect.bisect_left(open_, w.key, key=_word_key)
+                i = bisect.bisect_left(open_, w.key, key=_key)
                 if i < len(open_) and open_[i] == w:
                     del open_[i]
         if collect_steps:

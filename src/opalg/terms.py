@@ -378,24 +378,6 @@ class Context:
         return out if top.is_unit() else f"{out}*{top}"
 
 
-def positions(word):
-    """Yield (spine, subword) for every level of ``word``.
-
-    The spine is a list of (sibling word, operator) pairs leading from the
-    top level to the level ``subword`` sits at.  Equal factors are descended
-    only once, so the enumeration is duplicate-free.
-    """
-    yield [], word
-    seen = None
-    for f in word.ops:
-        if f == seen:
-            continue
-        seen = f
-        sibling = word.subtract(Word((), (f,)))
-        for spine, sub in positions(f.arg):
-            yield [(sibling, f.op)] + spine, sub
-
-
 def substitute_letters(word, mapping):
     """Replace letters by words throughout, merging into each level.
 

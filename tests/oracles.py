@@ -10,9 +10,13 @@ polynomial for every atom and combines them with polynomial arithmetic
 rather than gathering each term's factors.  The test suite pins engine outputs
 against these.
 
-The one exception is ``enumerate_irr_reference``, the engine's own
-matcher run over every word: it is the slow path the pruned enumerator
-replaced, kept as the reference the pruning must reproduce exactly.
+There are two exceptions, slow paths the engine replaced and kept as the
+references the replacements must reproduce exactly.
+``enumerate_irr_reference`` is the engine's own matcher run over every
+word, which the pruned enumerator replaced.  ``match_rule_reference``
+walks every nesting level of a word, building each level's spine of
+sibling words, and matches the pattern into each level with the engine's
+level matcher; the structural, memoised ``match_rule`` replaced it.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from opalg.coeff import Scalar
 from opalg.gsbases import enumerate_words
 from opalg.models import HurwitzSeries
 from opalg.poly import OpPolynomial
-from opalg.rewrite import is_irreducible
+from opalg.rewrite import Match, _match_at_level, is_irreducible
 from opalg.syntax import DEFAULT_OPERATORS, ParseError, _tokenize
 from opalg.terms import OP_D, OP_P, Context, Word
 
@@ -155,6 +159,37 @@ def _fibonacci(n):
     for _ in range(n):
         a, b = b, a + b
     return a
+
+
+# ---------------------------------------------------------------------------
+# matching level by level
+# ---------------------------------------------------------------------------
+
+def _positions(word):
+    """Yield (spine, subword) for every level of ``word``: the spine lists
+    the (sibling word, operator) pairs from the top level down to the level
+    ``subword`` sits at.  Equal factors are descended only once."""
+    yield [], word
+    seen = None
+    for f in word.ops:
+        if f == seen:
+            continue
+        seen = f
+        sibling = word.subtract(Word((), (f,)))
+        for spine, sub in _positions(f.arg):
+            yield [(sibling, f.op)] + spine, sub
+
+
+def match_rule_reference(m, rule):
+    """``rewrite.match_rule`` by walking every level of m, uncached."""
+    out = []
+    for spine, sub in _positions(m):
+        for binding, leftover in _match_at_level(rule.lhs, sub, set(rule.variables)):
+            cofactors = [s for s, _ in spine] + [leftover]
+            context = Context(cofactors, tuple(op for _, op in spine))
+            out.append(Match(rule, context, binding))
+    out.sort(key=lambda mt: mt.key)
+    return out
 
 
 # ---------------------------------------------------------------------------

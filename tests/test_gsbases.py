@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import time
 
 import pytest
 
@@ -205,6 +206,34 @@ def test_word_count_before_enumerating():
     assert _count_words(10**20, 0, 0) == 1
     with pytest.raises(BoundExceeded, match=f"^more than {WORD_CAP} words"):
         enumerate_words(10**20, ("x",), (OP_D,))
+
+
+def _count_letter_words_euler(size_bound, n_generators):
+    """``_count_words`` without operators, by the Euler-transform loop."""
+    words, c = [1], [0]
+    total = 1
+    for n in range(1, size_bound + 1):
+        c.append(n_generators)  # only the primes of size 1, the letters
+        words.append(sum(c[k] * words[n - k] for k in range(1, n + 1)) // n)
+        total += words[n]
+        if total > WORD_CAP and n < size_bound:
+            return None
+    return total
+
+
+def test_word_count_without_operators_is_closed_form():
+    for g in (1, 2, 3):
+        for bound in range(31):
+            assert _count_words(bound, g, 0) == _count_letter_words_euler(bound, g)
+    # three generators pass the cap between sizes 179 and 180
+    for bound in range(178, 183):
+        assert _count_words(bound, 3, 0) == _count_letter_words_euler(bound, 3)
+    assert _count_words(180, 3, 0) == 1_004_731 and _count_words(181, 3, 0) is None
+    t0 = time.perf_counter()
+    assert _count_words(4000, 1, 0) == 4001
+    assert _count_words(WORD_CAP - 1, 1, 0) == WORD_CAP
+    # the Euler-transform loop took over a second for the first of these
+    assert time.perf_counter() - t0 < 0.1
 
 
 def test_duplicate_generators_count_once():

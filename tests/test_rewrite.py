@@ -5,10 +5,10 @@ from dataclasses import replace
 
 import pytest
 
-from opalg import coeff
+from opalg import coeff, rewrite
 from opalg.coeff import Scalar
 from opalg.cli import parse_polynomial as P
-from opalg.gsbases import PRESETS, preset
+from opalg.gsbases import PRESETS, VerifyConfig, broken_rb, preset, verify_gs
 from opalg.poly import OpPolynomial
 from opalg.rewrite import (
     RuleSchema,
@@ -24,6 +24,7 @@ from opalg.rewrite import (
 )
 from opalg.sampling import random_polynomial, random_word
 from opalg.terms import OP_D, OP_P, Context, Word
+from oracles import match_rule_reference
 
 D_THEORY = preset("d")
 RB_THEORY = preset("rb")
@@ -296,6 +297,77 @@ def test_rule_schema_copy_and_pickle():
                 assert c == rule and hash(c) == hash(rule)
                 assert (c.name, c.variables) == (rule.name, rule.variables)
                 assert c.poly == rule.poly and c.lhs is rule.lhs and c.rhs == rule.rhs
+                assert c.varset == rule.varset == frozenset(rule.variables)
                 for f in inputs:
                     assert normal_form(f, [c]).poly == normal_form(f, [rule]).poly
             assert RuleSchema(rule.name + "_renamed", rule.variables, rule.poly) != rule
+
+
+def _matcher_test_words():
+    """Seeded words with repeated factors, the unit word and nested arguments."""
+    rng = random.Random(53)
+    words = [Word.unit(), X, d(Word.unit()), p(Word.unit()) * p(Word.unit())]
+    for _ in range(80):
+        w = random_word(rng, 5, ("x", "y"), (OP_D, OP_P))
+        v = random_word(rng, 3, ("x", "y"), (OP_D, OP_P))
+        words.extend((w, w * w, d(w * w) * v, p(p(w) * v) * p(v), d(p(w) * p(w)) * p(w)))
+    return words
+
+
+def test_match_rule_matches_reference():
+    rules = {rule for theory in PRESETS.values() for rule in theory.rules}
+    rules.update(broken_rb().rules)
+    words = _matcher_test_words()
+    for rule in sorted(rules, key=lambda r: r.name):
+        for m in words:
+            assert match_rule(m, rule) == match_rule_reference(m, rule), (str(m), rule.name)
+
+
+def _count_level_matches(monkeypatch):
+    """Empty the match cache and count _match_at_level calls from now on."""
+    calls = []
+    match = rewrite._match_at_level
+
+    def counting(pattern, level, varset):
+        calls.append(level)
+        return match(pattern, level, varset)
+
+    monkeypatch.setattr(rewrite, "_MATCH_CACHE", {})
+    monkeypatch.setattr(rewrite, "_match_at_level", counting)
+    return calls
+
+
+def test_match_work_counts(monkeypatch):
+    calls = _count_level_matches(monkeypatch)
+    res = normal_form(P("p(a)*p(b*b)*p(c)"), RB_THEORY.rules)
+    assert len(res.poly) == 13
+    # one top-level match per distinct (rule, word), arguments included;
+    # walking every level of every word took 111
+    assert len(calls) == len(rewrite._MATCH_CACHE) == 84
+    # a word around an already-matched argument costs one top-level match
+    rule = RB_THEORY.rule("p_rota_baxter")
+    arg = P("p(x)*p(y*y)").leading_word()
+    match_rule(arg, rule)
+    calls.clear()
+    matches = match_rule(p(arg) * X, rule)
+    assert calls == [p(arg) * X]
+    assert matches == match_rule_reference(p(arg) * X, rule) and matches
+
+
+def test_match_cache_clears_mid_recursion_change_no_result(monkeypatch):
+    inputs = [
+        (RB_THEORY, P("p(x)*p(y*y)*p(z)*p(w*w)*p(v)")),
+        (D_THEORY, P("d(a)*d(b*b)*d(c)*d(e)*d(f*f)*d(g)*d(h*h)*d(k)*d(m)")),
+    ]
+    expected = [normal_form(f, theory.rules, collect_steps=True) for theory, f in inputs]
+    verdict = verify_gs(RB_THEORY, VerifyConfig(1, 1, True))
+    # a limit this small clears the cache inside the recursion of most words
+    monkeypatch.setattr(rewrite, "_MATCH_CACHE", {})
+    monkeypatch.setattr(rewrite, "_MATCH_CACHE_LIMIT", 3)
+    for (theory, f), ref in zip(inputs, expected):
+        res = normal_form(f, theory.rules, collect_steps=True)
+        assert res.poly == ref.poly
+        assert _step_keys(res.steps) == _step_keys(ref.steps)
+    assert [len(r.poly) for r in expected] == [541, 511]
+    assert verify_gs(RB_THEORY, VerifyConfig(1, 1, True)) == verdict
+    assert len(rewrite._MATCH_CACHE) <= 4
