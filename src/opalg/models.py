@@ -21,33 +21,43 @@ for a fixed nonzero rational weight w.  The derivation d shifts left, which
 costs one index of the reliable window; identities are only ever asserted
 on indices where every intermediate is reliable.
 
-The product is not computed from that sum but through sigma = id + w*d.
-The weighted Leibniz rule d(fg) = d(f)g + f d(g) + w d(f)d(g) says exactly
-that sigma is multiplicative, sigma(fg) = sigma(f) sigma(g), and so is
-evaluation at 0; hence the sigma-transform
+A series is not stored as f but as its sigma-transform, through
+sigma = id + w*d.  The weighted Leibniz rule d(fg) = d(f)g + f d(g) +
+w d(f)d(g) says exactly that sigma is multiplicative, sigma(fg) =
+sigma(f) sigma(g), and so is evaluation at 0; hence the sigma-transform
 
     (Tf)(m) = (sigma^m f)(0) = sum_{i<=m} C(m,i) w^i f(i)
 
 takes the product to the entrywise product, T(fg) = Tf * Tg (Guo & Keigher,
 "On differential Rota-Baxter algebras", JPAA 2008).  T is lower triangular
-with diagonal w^m, so it is invertible for w != 0, and entry m of Tf reads
-only f(0), ..., f(m), so the reliable window is kept.  A product of window
-n costs n carrier products and O(n^2) additions and rational scalings
-(Pascal sums forward, Pascal differences back) instead of the O(n^3) terms
-of the sum; the arithmetic is exact, so the result equals the sum's entry
-for entry.
+with diagonal w^m, so it is invertible for w != 0, entry m of Tf reads only
+f(0), ..., f(m), so the reliable window is kept, and Tf = Tg on the first n
+entries exactly when f = g there.  Every operation is O(n) on a window of
+n: sums and scalings are entrywise because T is linear, a product is n
+carrier products, and the shifts follow from sigma = id + w*d:
+
+    (T df)(m) = (Tf(m+1) - Tf(m)) / w
+    (T Pf)(0) = -w Tf(0),   (T Pf)(m+1) = (T Pf)(m) + w Tf(m).
+
+The O(n^2) conversions (Pascal sums forward, Pascal differences back) run
+only in the constructor, which takes f, and in ``coeffs``, which returns
+it; the arithmetic is exact, so the values equal those of the defining sum
+entry for entry.
 
 The constrained subalgebra consists of the sequences with
 f(n) = -(1/w) f(n-1), i.e. sigma(f) = 0: in sigma-coordinates they are
 (f(0), 0, 0, ...), which is why they are closed under the product.  It does
 not contain the unit, so evaluating polynomials that need the unit in this
-model is rejected.
+model is rejected.  f -> f(0) maps it isomorphically onto the base ring,
+sending d to -(1/w) id and P to -w id, so the constrained model is the
+degenerate model in other coordinates.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 from .coeff import InvalidWeight, PoleAtWeight  # re-exported for callers
 from .coeff import exact_fraction
@@ -171,20 +181,37 @@ class TruncatedPolyRing:
 # ---------------------------------------------------------------------------
 
 class HurwitzSeries:
-    """A finite reliable window of a sequence over a base ring."""
+    """A finite reliable window of a sequence over a base ring, stored as its
+    sigma-transform ``sigma`` (see the module docstring); ``coeffs`` gives
+    the sequence itself."""
 
-    __slots__ = ("ring", "weight", "coeffs")
+    __slots__ = ("ring", "weight", "sigma")
 
     def __init__(self, ring, weight, coeffs):
-        self.ring = ring
-        self.weight = exact_fraction(weight)
-        if self.weight == 0:
+        weight = exact_fraction(weight)
+        if weight == 0:
             raise InvalidWeight("weight must be nonzero")
-        self.coeffs = tuple(coeffs)
+        self.ring = ring
+        self.weight = weight
+        self.sigma = _to_sigma(coeffs, weight)
+
+    @classmethod
+    def _of(cls, ring, weight, sigma):
+        """A series from its sigma-transform, for an exact nonzero weight."""
+        out = object.__new__(cls)
+        out.ring = ring
+        out.weight = weight
+        out.sigma = tuple(sigma)
+        return out
+
+    @property
+    def coeffs(self):
+        """The entries f(0), ..., f(n-1) of the window, converted on each read."""
+        return _from_sigma(self.sigma, self.weight)
 
     @property
     def window(self):
-        return len(self.coeffs)
+        return len(self.sigma)
 
     def _check(self, other):
         if self.weight != other.weight:
@@ -192,48 +219,46 @@ class HurwitzSeries:
 
     def __add__(self, other):
         self._check(other)
-        n = min(self.window, other.window)
-        return HurwitzSeries(
-            self.ring, self.weight,
-            (a + b for a, b in zip(self.coeffs[:n], other.coeffs[:n])),
+        return self._of(
+            self.ring, self.weight, (a + b for a, b in zip(self.sigma, other.sigma))
         )
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return HurwitzSeries(self.ring, self.weight, (-a for a in self.coeffs))
+        return self._of(self.ring, self.weight, (-a for a in self.sigma))
 
     def scale(self, k):
-        return HurwitzSeries(self.ring, self.weight, (k * a for a in self.coeffs))
+        return self._of(self.ring, self.weight, (k * a for a in self.sigma))
 
     __rmul__ = scale
 
     def __mul__(self, other):
         """The binomially weighted product, exact on the common window: the
-        entrywise product of the sigma-transforms, transformed back.  A
-        rational ``k`` on the right scales, as ``k * a`` does."""
+        entrywise product of the sigma-transforms.  A rational ``k`` on the
+        right scales, as ``k * a`` does."""
         if isinstance(other, (Fraction, int)):
             return self.scale(other)
         self._check(other)
-        n = min(self.window, other.window)
-        w = self.weight
-        tf = _to_sigma(self.coeffs[:n], w)
-        tg = _to_sigma(other.coeffs[:n], w)
-        return HurwitzSeries(
-            self.ring, w, _from_sigma([a * b for a, b in zip(tf, tg)], w)
+        return self._of(
+            self.ring, self.weight, (a * b for a, b in zip(self.sigma, other.sigma))
         )
 
     def derive(self):
-        """Left shift; the reliable window shrinks by one."""
-        return HurwitzSeries(self.ring, self.weight, self.coeffs[1:])
+        """Left shift, (T f')(m) = (Tf(m+1) - Tf(m))/w; the reliable window
+        shrinks by one."""
+        s, inv = self.sigma, 1 / self.weight
+        return self._of(self.ring, self.weight, (inv * (b - a) for a, b in zip(s, s[1:])))
 
     def integrate(self):
-        """Right shift seeded with -w*f(0); window grows by one entry."""
-        return HurwitzSeries(
-            self.ring, self.weight,
-            (-self.weight * self.coeffs[0],) + self.coeffs,
-        )
+        """Right shift seeded with -w*f(0): T(Pf)(0) = -w Tf(0) and
+        T(Pf)(m+1) = T(Pf)(m) + w Tf(m).  The window grows by one entry, unless
+        it is empty: Pf(0) needs f(0)."""
+        w, s = self.weight, self.sigma
+        if not s:
+            return self
+        return self._of(self.ring, w, accumulate((w * a for a in s), initial=-w * s[0]))
 
     def agrees(self, other):
         """Equality on the common reliable window, which must not be empty."""
@@ -241,11 +266,11 @@ class HurwitzSeries:
         n = min(self.window, other.window)
         if n < 1:
             raise ValueError("the series share no reliable entry to compare")
-        return self.coeffs[:n] == other.coeffs[:n]
+        return self.sigma[:n] == other.sigma[:n]
 
     def is_zero(self):
         z = self.ring.zero()
-        return all(c == z for c in self.coeffs)
+        return all(c == z for c in self.sigma)
 
     def __repr__(self):
         return f"HurwitzSeries(w={self.weight}, {list(self.coeffs)})"
@@ -259,7 +284,7 @@ def _to_sigma(coeffs, w):
     while row:
         out.append(row[0])
         row = [a + b for a, b in zip(row, row[1:])]
-    return out
+    return tuple(out)
 
 
 def _from_sigma(values, w):
@@ -269,7 +294,7 @@ def _from_sigma(values, w):
     while row:
         out.append(w ** -len(out) * row[0])
         row = [b - a for a, b in zip(row, row[1:])]
-    return out
+    return tuple(out)
 
 
 def unit_series(ring, weight, window):
@@ -279,18 +304,15 @@ def unit_series(ring, weight, window):
 
 
 def constrained_series(ring, weight, seed, window):
-    """The sequence determined by f(n) = -(1/w) f(n-1) from a seed value."""
+    """The sequence determined by f(n) = -(1/w) f(n-1) from a seed value,
+    which is (seed, 0, ..., 0) in sigma-coordinates."""
     w = exact_fraction(weight)
     if w == 0:
         raise InvalidWeight("weight must be nonzero")
     if window < 1:
         raise ValueError("the window must hold at least one entry")
     seed = ring.coerce(seed) if isinstance(seed, (int, float, Fraction)) else seed
-    coeffs = [seed]
-    step = -1 / w
-    for _ in range(window - 1):
-        coeffs.append(step * coeffs[-1])
-    return HurwitzSeries(ring, w, coeffs)
+    return HurwitzSeries._of(ring, w, (seed,) + (ring.zero(),) * (window - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +386,14 @@ class LeftMultiplicationModel(OperatorModel):
 
 class HurwitzConstrainedModel(OperatorModel):
     """The constrained sequences with the shift as d and the weighted
-    right shift as P, under the full binomial product.  Nonunital."""
+    right shift as P, under the full binomial product.  Nonunital.
+
+    A constrained series is (f(0), 0, ..., 0) in sigma-coordinates, and
+    f -> f(0) carries this model onto ``DegenerateModel`` over the base
+    ring, so it adds no evidence beyond that model: independence checks
+    (rank certificates for a linear basis) need unconstrained series or
+    other sigma-based models.
+    """
 
     name = "hurwitz"
     has_unit = False
@@ -379,7 +408,7 @@ class HurwitzConstrainedModel(OperatorModel):
         raise NonunitalModel("the constrained sequence algebra has no unit")
 
     def zero(self):
-        return HurwitzSeries(
+        return HurwitzSeries._of(
             self.ring, self.weight, (self.ring.zero(),) * self.window
         )
 

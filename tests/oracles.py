@@ -4,11 +4,11 @@ The word generator and the irreducibility scans here do not reuse the
 engine's matcher or enumerator: irreducibility is decided by hard-coded
 structural scans for each forbidden shape, and occurrence search by
 exhaustively puncturing a word and substituting back.  The Hurwitz product
-is computed by its defining triple sum rather than through the
-sigma-transform the engine uses, and the reference parser builds a whole
-polynomial for every atom and combines them with polynomial arithmetic
-rather than gathering each term's factors.  The test suite pins engine outputs
-against these.
+is computed by its defining triple sum, and the other series operations on
+the coefficients themselves, rather than on the sigma-transform the engine
+stores.  The reference parser builds a whole polynomial for every atom and
+combines them with polynomial arithmetic rather than gathering each term's
+factors.  The test suite pins engine outputs against these.
 
 There are two exceptions, slow paths the engine replaced and kept as the
 references the replacements must reproduce exactly.
@@ -232,22 +232,47 @@ def oracle_occurrences(m, target):
 
 
 # ---------------------------------------------------------------------------
-# the Hurwitz product by its defining formula
+# Hurwitz series operations on the coefficients themselves
 # ---------------------------------------------------------------------------
 
 def hurwitz_product_reference(f, g):
     """(fg)(n) = sum_{k<=n} sum_{j<=n-k} C(n,k) C(n-k,j) w^k f(n-j) g(k+j)
     on the common window: n(n+1)(n+2)/6 carrier products for window n."""
     w = f.weight
+    fc, gc = f.coeffs, g.coeffs
     out = []
-    for n in range(min(f.window, g.window)):
+    for n in range(min(len(fc), len(gc))):
         acc = f.ring.zero()
         for k in range(n + 1):
             for j in range(n - k + 1):
                 c = math.comb(n, k) * math.comb(n - k, j) * w**k
-                acc = acc + c * (f.coeffs[n - j] * g.coeffs[k + j])
+                acc = acc + c * (fc[n - j] * gc[k + j])
         out.append(acc)
     return HurwitzSeries(f.ring, w, out)
+
+
+def hurwitz_sum_reference(f, g):
+    """f + g entry by entry on the common window."""
+    n = min(f.window, g.window)
+    return HurwitzSeries(
+        f.ring, f.weight, (a + b for a, b in zip(f.coeffs[:n], g.coeffs[:n]))
+    )
+
+
+def hurwitz_scale_reference(f, k):
+    return HurwitzSeries(f.ring, f.weight, (k * a for a in f.coeffs))
+
+
+def hurwitz_derive_reference(f):
+    """The left shift f'(n) = f(n+1); the window shrinks by one."""
+    return HurwitzSeries(f.ring, f.weight, f.coeffs[1:])
+
+
+def hurwitz_integrate_reference(f):
+    """The right shift seeded with -w*f(0); the window grows by one, unless
+    it is empty, since (Pf)(0) needs f(0)."""
+    c = f.coeffs
+    return HurwitzSeries(f.ring, f.weight, (-f.weight * c[0],) + c if c else ())
 
 
 # ---------------------------------------------------------------------------

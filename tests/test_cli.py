@@ -587,6 +587,9 @@ _BAD_RULESETS = {
         ["model-eval", "x", "--model", "hurwitz", "--trunc", "-2", "--assign", "x=1"],
         # every entry shifted out of the window by d
         ["model-eval", "d(x)", "--model", "hurwitz", "--trunc", "1", "--assign", "x=2"],
+        # integrating such a series leaves none either, since P(f)(0) needs f(0)
+        ["model-eval", "--model", "hurwitz", "--lambda", "3/2", "--trunc", "1",
+         "--assign", "x=1", "p(d(x))"],
         # generators the grammar reads back as something else
         ["irr", "--size", "1", "--theory", "rb", "--generators", "L,d"],
         ["irr", "--size", "1", "--generators", "x,y*z"],

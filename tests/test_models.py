@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from opalg import models
 from opalg.cli import parse_polynomial as P
 from opalg.gsbases import preset
 from opalg.models import (
@@ -27,7 +28,13 @@ from opalg.models import (
 from opalg.models import unit_series
 from opalg.rewrite import normal_form
 from opalg.sampling import random_polynomial, random_word
-from oracles import hurwitz_product_reference
+from oracles import (
+    hurwitz_derive_reference,
+    hurwitz_integrate_reference,
+    hurwitz_product_reference,
+    hurwitz_scale_reference,
+    hurwitz_sum_reference,
+)
 
 RING = RationalRing()
 W32 = Fraction(3, 2)
@@ -94,6 +101,56 @@ def test_hurwitz_product_matches_defining_formula(base, data, w):
     assert fg.derive().coeffs == rhs.coeffs
 
 
+def _assert_same_series(got, want, known):
+    # want comes from the coefficient-space oracle; window, agrees and is_zero
+    # must read as the same comparisons made on coefficients.  known holds
+    # (series, coefficients) pairs to compare with.
+    coeffs = want.coeffs
+    assert got.coeffs == coeffs
+    assert got.window == len(coeffs)
+    assert got.is_zero() == all(c == got.ring.zero() for c in coeffs)
+    for other, other_coeffs in ((want, coeffs), *known):
+        n = min(len(coeffs), len(other_coeffs))
+        if n < 1:
+            with pytest.raises(ValueError):
+                got.agrees(other)
+        else:
+            assert got.agrees(other) == (coeffs[:n] == other_coeffs[:n])
+
+
+# the shifts and their compositions, innermost last, with their oracles
+_SHIFTS = {
+    "derive": (HurwitzSeries.derive, hurwitz_derive_reference),
+    "integrate": (HurwitzSeries.integrate, hurwitz_integrate_reference),
+}
+_CHAINS = [
+    ("derive",), ("integrate",),
+    ("derive", "integrate"), ("integrate", "derive"), ("integrate", "integrate"),
+]
+
+
+@pytest.mark.parametrize("base", _BASES)
+@given(data=st.data(), w=_WEIGHTS, k=_RATIONALS)
+def test_hurwitz_operations_match_coefficient_oracle(base, data, w, k):
+    ring, elements = _BASES[base]
+    f, g = (
+        HurwitzSeries(ring, w, data.draw(st.lists(elements, max_size=10)))
+        for _ in range(2)
+    )
+    known = [(f, f.coeffs), (g, g.coeffs)]
+    _assert_same_series(f + g, hurwitz_sum_reference(f, g), known)
+    _assert_same_series(f - g, hurwitz_sum_reference(f, hurwitz_scale_reference(g, -1)), known)
+    _assert_same_series(-f, hurwitz_scale_reference(f, -1), known)
+    _assert_same_series(k * f, hurwitz_scale_reference(f, k), known)
+    _assert_same_series(f * k, hurwitz_scale_reference(f, k), known)
+    for chain in _CHAINS:
+        got = want = f
+        for name in reversed(chain):
+            engine, oracle = _SHIFTS[name]
+            got, want = engine(got), oracle(want)
+        _assert_same_series(got, want, known)
+
+
 class _Counted:
     """A rational that counts the element-by-element products it takes part in."""
 
@@ -144,6 +201,23 @@ def test_hurwitz_product_makes_one_carrier_product_per_entry():
         _Counted.products = 0
         assert fg.coeffs == hurwitz_product_reference(f, g).coeffs
         assert _Counted.products == n * (n + 1) * (n + 2) // 6
+
+
+def test_model_arithmetic_makes_no_coordinate_conversion(monkeypatch):
+    # samples are built in sigma-coordinates and every operation stays there
+    def refuse(*args):
+        raise AssertionError("sigma-coordinate conversion")
+
+    monkeypatch.setattr(models, "_to_sigma", refuse)
+    monkeypatch.setattr(models, "_from_sigma", refuse)
+    model = HurwitzConstrainedModel(RING, W32, window=8)
+    report = check_axioms(model, samples=20)
+    report.pop("notes")
+    assert all(report.values()), report
+    rng = random.Random(70)
+    f = P("(L+1)/(L^2-2)*d(x*p(y)) + p(x)*p(y) - L*x*d(d(y))")
+    value = evaluate_in_model(f, model, {"x": model.sample(rng), "y": model.sample(rng)})
+    assert value.window == 6
 
 
 def test_weight_mismatch():
@@ -271,6 +345,30 @@ def test_every_preset_rule_vanishes_in_models():
                 assert evaluate_in_model(inst, deg, assign) == 0
                 h_assign = {"x": hur.sample(rng), "y": hur.sample(rng)}
                 assert evaluate_in_model(inst, hur, h_assign).is_zero()
+
+
+@pytest.mark.parametrize("weight", [W32, Fraction(-5, 7)])
+def test_constrained_hurwitz_model_is_the_degenerate_model(weight):
+    # constrained series are (f(0), 0, ..., 0) in sigma-coordinates, and
+    # f -> f(0) takes d to -(1/w) id and P to -w id: the Hurwitz value is the
+    # degenerate value in sigma-coordinates, so it adds no evidence of its own
+    rng = random.Random(69)
+    drb = preset("drb")
+    deg = DegenerateModel(RING, weight)
+    hur = HurwitzConstrainedModel(RING, weight, window=8)
+    checked = 0
+    while checked < 100:
+        f = random_polynomial(rng, 6, ("x", "y"), drb.operators)
+        if any(w.is_unit() or _has_unit_argument(w) for w, _ in f.terms_desc()):
+            continue
+        seeds = {"x": RING.sample(rng), "y": RING.sample(rng)}
+        v = evaluate_in_model(f, deg, seeds)
+        h = evaluate_in_model(
+            f, hur, {name: constrained_series(RING, weight, s, 8) for name, s in seeds.items()}
+        )
+        assert h.window >= 1
+        assert h.sigma == (v,) + (0,) * (h.window - 1)
+        checked += 1
 
 
 def test_evaluate_examples():

@@ -118,3 +118,6 @@ def test_benchmark_tracer_installs():
                  "terms.words_built", "coeff.scalar_ops", "models.hurwitz_muls",
                  "gsbases.enumerate_words_s", "cli.parse_s", "cli.format_s"):
         assert metrics[name] > 0, name
+    # an exact count for the fixed round: the axiom checks at window 6 make 24
+    # series products, so a change that adds products shows here, not as noise
+    assert metrics["models.hurwitz_muls"] == 24
