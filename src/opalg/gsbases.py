@@ -57,7 +57,8 @@ So the irreducible words are closed under taking arguments and
 sub-products (cf. Comon et al., *Tree Automata Techniques and
 Applications*, 2007), and :func:`enumerate_words` extends only irreducible
 words, checking each new word at its top level alone.  Its refusal past
-``WORD_CAP`` still counts every word of the size, irreducible or not.
+``WORD_CAP`` words, or past ``SIZE_CAP`` in the sum of their sizes, still
+counts every word of the size, irreducible or not.
 """
 
 from __future__ import annotations
@@ -103,7 +104,8 @@ class MonomialNotBelowAmbiguity(ValueError):
 
 
 class BoundExceeded(RuntimeError):
-    """A word enumeration would hold more than WORD_CAP words."""
+    """A word enumeration would hold more than WORD_CAP words, or words of
+    total size more than SIZE_CAP."""
 
 
 @dataclass(frozen=True)
@@ -488,41 +490,48 @@ def verify_gs(theory, cfg=None):
 # ---------------------------------------------------------------------------
 
 WORD_CAP = 1_000_000
+#: The bound on the sum of the sizes of the words an enumeration may hold.
+SIZE_CAP = 32 * WORD_CAP
 
 
 def _count_words(size_bound, n_generators, n_operators):
-    """The number of words of size at most the bound, without building them.
+    """The number of words of size at most the bound and the sum of their
+    sizes, without building them.
 
     A prime (a factor that is not a product) of size n is a letter, at
     n = 1, or an operator around a word of size n - 1.  A word is a multiset
     of primes, so the counts by size are the Euler transform of the prime
     counts: n·words[n] = sum over k of c[k]·words[n - k].
 
-    Without operators the words are the monomials in the generators, and
-    there are C(n + g, g) of size at most n over g generators.
+    Without operators the words are the monomials in the generators: there
+    are C(n + g, g) of size at most n over g generators, and their sizes
+    add up to g·C(n + g, g + 1).
 
     The count stops once it passes WORD_CAP below the bound, and returns
     None then.  A nonempty alphabet has a word of every size, so a bound of
     WORD_CAP or more is refused before any counting.
     """
     if not (n_generators or n_operators):
-        return 1
+        return 1, 0
     if size_bound >= WORD_CAP:
         return None
+    g = n_generators
     if not n_operators:
-        if math.comb(size_bound - 1 + n_generators, n_generators) > WORD_CAP:
+        if math.comb(size_bound - 1 + g, g) > WORD_CAP:
             return None
-        return math.comb(size_bound + n_generators, n_generators)
+        return math.comb(size_bound + g, g), g * math.comb(size_bound + g, g + 1)
     words, primes, c = [1], [0], [0]
     total = 1
+    size = 0
     for n in range(1, size_bound + 1):
-        primes.append(n_operators * words[n - 1] + (n_generators if n == 1 else 0))
+        primes.append(n_operators * words[n - 1] + (g if n == 1 else 0))
         c.append(sum(d * primes[d] for d in range(1, n + 1) if n % d == 0))
         words.append(sum(c[k] * words[n - k] for k in range(1, n + 1)) // n)
         total += words[n]
+        size += n * words[n]
         if total > WORD_CAP and n < size_bound:
             return None
-    return total
+    return total, size
 
 
 def enumerate_words(size_bound, generators, operators, rules=()):
@@ -539,17 +548,23 @@ def enumerate_words(size_bound, generators, operators, rules=()):
     the pattern check at its top level only.  The unit word has no pattern
     (``RuleSchema`` refuses a unit pattern) and is kept unchecked.
 
-    The refusal past WORD_CAP still counts every word, irreducible or not.
+    The refusals past WORD_CAP words and past SIZE_CAP in their total size
+    still count every word, irreducible or not.
     """
     if size_bound < 0:
         return []
     generators = sorted(set(generators))
-    total = _count_words(size_bound, len(generators), len(operators))
-    if total is None:
+    counted = _count_words(size_bound, len(generators), len(operators))
+    if counted is None:
         raise BoundExceeded(f"more than {WORD_CAP} words of size at most {size_bound}")
+    total, size = counted
     if total > WORD_CAP:
         raise BoundExceeded(f"{total} words of size at most {size_bound}, more than {WORD_CAP}")
-    patterns = [(r.lhs, r.varset) for r in rules]
+    if size > SIZE_CAP:
+        raise BoundExceeded(
+            f"the words of size at most {size_bound} have total size {size}, more than {SIZE_CAP}"
+        )
+    patterns = [r.pattern for r in rules]
     out = [Word.unit()]
     irreducible = {Word.unit()}
     # (size, prime) by ascending size: irreducible primes below the current
@@ -564,7 +579,7 @@ def enumerate_words(size_bound, generators, operators, rules=()):
         _multisets(k, primes, len(primes), Word.unit(), irreducible, found)
         last = [
             w for w in found
-            if not any(_match_at_level(lhs, w, varset) for lhs, varset in patterns)
+            if not any(_match_at_level(pattern, w) for pattern in patterns)
         ]
         irreducible.update(last)
         out.extend(last)

@@ -119,18 +119,26 @@ class TruncatedPoly:
     def __init__(self, coeffs):
         self.coeffs = tuple(exact_fraction(c) for c in coeffs)
 
+    @classmethod
+    def _of(cls, coeffs):
+        """A polynomial from exact coefficients, which arithmetic on exact
+        coefficients keeps exact, so they are not checked again."""
+        out = object.__new__(cls)
+        out.coeffs = tuple(coeffs)
+        return out
+
     def __add__(self, other):
-        return TruncatedPoly(a + b for a, b in zip(self.coeffs, other.coeffs))
+        return self._of(a + b for a, b in zip(self.coeffs, other.coeffs))
 
     def __sub__(self, other):
-        return TruncatedPoly(a - b for a, b in zip(self.coeffs, other.coeffs))
+        return self._of(a - b for a, b in zip(self.coeffs, other.coeffs))
 
     def __neg__(self):
-        return TruncatedPoly(-a for a in self.coeffs)
+        return self._of(-a for a in self.coeffs)
 
     def __mul__(self, other):
         if isinstance(other, (Fraction, int)):
-            return TruncatedPoly(a * other for a in self.coeffs)
+            return self._of(a * other for a in self.coeffs)
         k = len(self.coeffs)
         out = [Fraction(0)] * k
         for i, a in enumerate(self.coeffs):
@@ -140,7 +148,7 @@ class TruncatedPoly:
                 if i + j >= k:
                     break
                 out[i + j] += a * b
-        return TruncatedPoly(out)
+        return self._of(out)
 
     def __rmul__(self, other):
         if isinstance(other, (Fraction, int)):

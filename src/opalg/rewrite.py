@@ -14,12 +14,22 @@ argument absorbs whatever of that argument is left.  Patterns are required
 to be linear (each variable read exactly once), which keeps the enumeration
 of matches complete and finite.
 
+Each rule compiles its pattern once (``RuleSchema.pattern``): every level
+holds its concrete letters, its bare variable if any, and its operator
+factors paired with their compiled arguments.  Injective assignments of
+pattern factors to target factors are bitmasks, and an argument matched by
+a bare variable alone binds the argument word itself.
+
 The levels are walked by structure: the matches in a word are those at its
 top level, plus, for each distinct operator factor f, the matches in f's
 argument with the context grown by one level (the operator, and the word
 without f as the sibling).  The argument's matches are memoised like the
 word's, so a word built around already-matched arguments costs one
-top-level match.
+top-level match.  A match grown by one level takes its context key and
+binding key from the inner match rather than rebuilding them, and so does
+its reduct, the rule's right-hand side instantiated in the context: each
+word of the inner reduct is wrapped in the operator beside the sibling.
+A reduct is built on first use and kept with the match.
 """
 
 from __future__ import annotations
@@ -75,7 +85,7 @@ def _letter_count(word, name):
 class RuleSchema:
     """A named monic rewrite rule with linear variable pattern."""
 
-    __slots__ = ("name", "variables", "varset", "poly", "lhs", "rhs", "_hash")
+    __slots__ = ("name", "variables", "varset", "poly", "lhs", "rhs", "pattern", "_hash")
 
     def __init__(self, name, variables, poly):
         variables = tuple(variables)
@@ -105,6 +115,7 @@ class RuleSchema:
         object.__setattr__(self, "poly", poly)
         object.__setattr__(self, "lhs", lhs)
         object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "pattern", _compile(lhs, varset))
         object.__setattr__(self, "_hash", hash((name, variables, poly)))
 
     def __setattr__(self, *_):
@@ -163,18 +174,71 @@ def _check_arg_levels(name, word, varset):
         _check_arg_levels(name, f.arg, varset)
 
 
-@dataclass(frozen=True)
 class Match:
-    rule: RuleSchema
-    context: Context
-    binding: dict
+    """One match of a rule: the context around the pattern instance, and
+    the binding of the pattern's variables.
 
-    @property
-    def key(self):
-        return (
-            self.context.key,
-            tuple(sorted((v, w.key) for v, w in self.binding.items())),
+    ``key`` orders the matches of a word and is built once.  A match found
+    in an operator argument and wrapped one level up (``wrap``) builds its
+    context and key from the inner match's, and its reduct from the inner
+    reduct.
+    """
+
+    __slots__ = ("rule", "context", "binding", "key", "_inner", "_reduct")
+
+    def __init__(self, rule, context, binding):
+        key = (context.key, tuple(sorted((v, w.key) for v, w in binding.items())))
+        self._set(rule, context, binding, key, None)
+
+    def _set(self, rule, context, binding, key, inner):
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "context", context)
+        object.__setattr__(self, "binding", binding)
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "_inner", inner)
+        object.__setattr__(self, "_reduct", None)
+
+    def __setattr__(self, *_):
+        raise AttributeError("Match is immutable")
+
+    def __reduce__(self):
+        return Match, (self.rule, self.context, self.binding)
+
+    def __eq__(self, other):
+        return self is other or (
+            isinstance(other, Match)
+            and self.rule == other.rule
+            and self.context == other.context
+            and self.binding == other.binding
         )
+
+    def __repr__(self):
+        return f"Match(rule={self.rule!r}, context={self.context!r}, binding={self.binding!r})"
+
+    def wrap(self, sibling, op):
+        """This match inside op(...), beside the word sibling."""
+        context = self.context.wrap(sibling, op)
+        match = object.__new__(Match)
+        match._set(self.rule, context, self.binding, (context.key, self.key[1]), self)
+        return match
+
+    def reduct(self):
+        """The words of the rule's right-hand side instantiated in the
+        context, in the order of ``rule.rhs.items()``; built once."""
+        reduct = self._reduct
+        if reduct is None:
+            inner = self._inner
+            if inner is None:
+                ctx, binding = self.context, self.binding
+                reduct = tuple(
+                    ctx.substitute(substitute_letters(w0, binding))
+                    for w0 in self.rule.rhs.monomials()
+                )
+            else:
+                sibling, op = self.context.cofactors[0], self.context.ops[0]
+                reduct = tuple(sibling * w.apply(op) for w in inner.reduct())
+            object.__setattr__(self, "_reduct", reduct)
+        return reduct
 
 
 @dataclass(frozen=True)
@@ -202,92 +266,109 @@ class NFResult:
 # matching
 # ---------------------------------------------------------------------------
 
-def _match_exact(pattern, target, varset, binding):
-    """Bindings making pattern cover all of target, at one operator argument."""
-    concrete = tuple(l for l in pattern.letters if l not in varset)
-    bare_vars = [l for l in pattern.letters if l in varset]
-    rest_letters = _tuple_subtract(target.letters, concrete)
-    if rest_letters is None:
-        return []
-    out = []
-    for bnd, used in _assign_ops(pattern.ops, target.ops, varset, binding):
-        leftover_ops = tuple(
-            f for i, f in enumerate(target.ops) if i not in used
-        )
-        if bare_vars:
-            word = Word(rest_letters, leftover_ops)
-            b2 = dict(bnd)
-            b2[bare_vars[0]] = word
-            out.append(b2)
-        else:
-            if rest_letters or leftover_ops:
-                continue
-            out.append(bnd)
-    return out
+def _compile(pattern, varset):
+    """The pattern word as nested levels, built once per rule: each level is
+    (its concrete letters, its bare variable or None, (operator, compiled
+    argument) pairs for its operator factors)."""
+    bare = [l for l in pattern.letters if l in varset]
+    return (
+        tuple(l for l in pattern.letters if l not in varset),
+        bare[0] if bare else None,
+        tuple((f.op, _compile(f.arg, varset)) for f in pattern.ops),
+    )
 
 
-def _assign_ops(pat_ops, target_ops, varset, binding, used=frozenset()):
-    """Injective assignments of pattern operator factors to target factors.
+def _match_exact(level, target, binding):
+    """Bindings extending binding that make a compiled level cover all of
+    target, at one operator argument."""
+    concrete, bare, pat_ops = level
+    rest = _tuple_subtract(target.letters, concrete)
+    if rest is None:
+        return ()
+    ops = target.ops
+    if bare is None:
+        if rest or len(pat_ops) != len(ops):
+            return ()
+        found = []
+        _assign_ops(pat_ops, 0, ops, binding, 0, found)
+        return [bnd for bnd, _ in found]
+    if not pat_ops:
+        # a bare variable alone binds the argument itself
+        return ({**binding, bare: Word(rest, ops) if concrete else target},)
+    if len(pat_ops) > len(ops):
+        return ()
+    found = []
+    _assign_ops(pat_ops, 0, ops, binding, 0, found)
+    return [{**bnd, bare: Word(rest, _unused(ops, used))} for bnd, used in found]
+
+
+def _unused(ops, used):
+    """The factors of ops whose bit is not set in the mask used."""
+    return tuple(f for i, f in enumerate(ops) if not used >> i & 1)
+
+
+def _assign_ops(pat_ops, j, target_ops, binding, used, out):
+    """Append to out each injective assignment of pat_ops[j:] to the target
+    factors not in the bitmask used, as (binding, used) pairs.
 
     Identical target factors are interchangeable, so only the first free one
-    is tried.  This is the only deduplication the matcher needs: patterns are
-    linear, so a binding fixes the image of every pattern factor, and two
-    assignments can give the same match only by exchanging identical target
-    factors, which this rule never does.
+    is tried; they sit next to each other, so comparing with the last one
+    tried finds them.  This is the only deduplication the matcher needs:
+    patterns are linear, so a binding fixes the image of every pattern
+    factor, and two assignments can give the same match only by exchanging
+    identical target factors, which this rule never does.
     """
-    if not pat_ops:
-        return [(binding, used)]
-    first, rest = pat_ops[0], pat_ops[1:]
-    out = []
-    tried = set()
-    for i, tf in enumerate(target_ops):
-        if i in used or tf.op != first.op or tf in tried:
-            continue
-        tried.add(tf)
-        for b1 in _match_exact(first.arg, tf.arg, varset, binding):
-            out.extend(_assign_ops(rest, target_ops, varset, b1, used | {i}))
-    return out
+    if j == len(pat_ops):
+        out.append((binding, used))
+        return
+    op, arg = pat_ops[j]
+    last = None
+    bit = 1
+    for tf in target_ops:
+        if not used & bit and tf.op == op and tf != last:
+            last = tf
+            for b1 in _match_exact(arg, tf.arg, binding):
+                _assign_ops(pat_ops, j + 1, target_ops, b1, used | bit, out)
+        bit <<= 1
 
 
-def _match_at_level(pattern, level, varset):
-    """(binding, leftover word) pairs matching the pattern into one level."""
-    rest_letters = _tuple_subtract(level.letters, pattern.letters)
-    if rest_letters is None or len(pattern.ops) > len(level.ops):
+def _match_at_level(pattern, level):
+    """(binding, leftover word) pairs matching a compiled pattern into the
+    top level of a word."""
+    concrete, _, pat_ops = pattern
+    rest = _tuple_subtract(level.letters, concrete)
+    ops = level.ops
+    if rest is None or len(pat_ops) > len(ops):
         return []
-    out = []
-    for bnd, used in _assign_ops(pattern.ops, level.ops, varset, {}):
-        leftover = Word(
-            rest_letters, tuple(f for i, f in enumerate(level.ops) if i not in used)
-        )
-        out.append((bnd, leftover))
-    return out
+    found = []
+    _assign_ops(pat_ops, 0, ops, {}, 0, found)
+    return [(bnd, Word(rest, _unused(ops, used))) for bnd, used in found]
 
 
-def _occurrences(m, rule, pattern, varset):
-    """The matches of pattern in m, sorted by ``Match.key``: those at the
-    top level, then those in each distinct operator argument wrapped in one
-    more level (m without the factor, its operator).  The argument's matches
-    come from ``_matches``, or uncached from this function if rule is None.
+def _occurrences(m, rule, pattern):
+    """The matches of a compiled pattern in m, sorted by ``Match.key``:
+    those at the top level, then those in each distinct operator argument
+    wrapped in one more level (m without the factor, its operator).  The
+    argument's matches come from ``_matches``, or uncached from this
+    function if rule is None.
     """
     out = [
-        Match(rule, Context((leftover,), ()), binding)
-        for binding, leftover in _match_at_level(pattern, m, varset)
+        Match(rule, Context.top(leftover), binding)
+        for binding, leftover in _match_at_level(pattern, m)
     ]
     seen = None
-    for f in m.ops:
+    ops = m.ops
+    for i, f in enumerate(ops):
         if f == seen:
             continue
         seen = f
         if rule is None:
-            inner = _occurrences(f.arg, None, pattern, varset)
+            inner = _occurrences(f.arg, None, pattern)
         else:
             inner = _matches(f.arg, rule)
         if inner:
-            sibling = m.subtract(Word((), (f,)))
-            for mt in inner:
-                q = mt.context
-                q = Context((sibling,) + q.cofactors, (f.op,) + q.ops)
-                out.append(Match(rule, q, mt.binding))
+            sibling = Word(m.letters, ops[:i] + ops[i + 1:])
+            out.extend(mt.wrap(sibling, f.op) for mt in inner)
     out.sort(key=_key)
     return out
 
@@ -298,7 +379,7 @@ def _matches(m, rule):
     key = (rule, m)
     cached = _MATCH_CACHE.get(key)
     if cached is None:
-        cached = _occurrences(m, rule, rule.lhs, rule.varset)
+        cached = _occurrences(m, rule, rule.pattern)
         if len(_MATCH_CACHE) > _MATCH_CACHE_LIMIT:
             _MATCH_CACHE.clear()
         _MATCH_CACHE[key] = cached
@@ -326,7 +407,7 @@ def find_occurrences(m, target):
     """
     if target.is_unit():
         raise ValueError("occurrence target must not be the unit word")
-    return [mt.context for mt in _occurrences(m, None, target, frozenset())]
+    return [mt.context for mt in _occurrences(m, None, _compile(target, ()))]
 
 
 _key = attrgetter("key")
@@ -444,9 +525,7 @@ def normal_form(
             word = open_.pop(i)
             match = found[word][r]
         c = terms.pop(word)
-        ctx, binding = match.context, match.binding
-        for w0, c0 in match.rule.rhs.items():
-            w = ctx.substitute(substitute_letters(w0, binding))
+        for w, (_, c0) in zip(match.reduct(), match.rule.rhs.items()):
             if not w < word:
                 raise RuleValidationError(
                     f"rule {match.rule.name}: instance monomial {w} not below redex {word}"

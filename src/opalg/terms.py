@@ -11,16 +11,21 @@ Canonical form
     multisets therefore have identical storage, and structural equality is
     semantic equality.  The letter order is lexicographic on names, fixed.
 
-    Words and operator applications are hash-consed: constructing one sorts
-    its factors, then looks them up in a module table and returns the stored
-    object if there is one, so there is one object per distinct word and
-    the key, degrees and hash are built once.  Equality tests identity
-    first and falls back to comparing keys.  Hashes are structural (the
-    hash of the key, never a memory address), so set and dict orders do not
-    depend on the table.  The table is bounded: it is cleared when it grows
-    past ``_TABLE_LIMIT`` entries.  Equal words built on either side of a
-    clear (or by two threads missing at once) are distinct objects that
-    still compare equal, so a clear changes no result.
+    Words and operator applications are hash-consed: constructing one looks
+    its factors up in a module table as given and returns the stored object
+    if there is one, so there is one object per distinct word and the key,
+    degrees and hash are built once.  Only on a miss are the factors sorted
+    and looked up again; the table's keys are sorted, so an unsorted pair
+    never finds a wrong entry, and most callers pass sorted factors already.
+    Equality tests identity first and falls back to comparing keys.  Hashes
+    are structural, never a memory address, so set and dict orders do not
+    depend on the table; each is built from the children's cached hashes
+    (a word's from its letters and its factors' hashes, an application's
+    from its operator and its argument's hash), so it costs one pass over
+    the top level, not over the whole nested key.  The table is bounded: it
+    is cleared when it grows past ``_TABLE_LIMIT`` entries.  Equal words
+    built on either side of a clear (or by two threads missing at once) are
+    distinct objects that still compare equal, so a clear changes no result.
 
 Every word carries a precomputed ``key`` realising the term order used by
 the whole engine (see :mod:`opalg.order`): operator degree first, then the
@@ -110,11 +115,10 @@ class OpApp:
         if app is not None:
             return app
         app = object.__new__(cls)
-        key = (op.rank, op.name, arg.key)
         object.__setattr__(app, "op", op)
         object.__setattr__(app, "arg", arg)
-        object.__setattr__(app, "key", key)
-        object.__setattr__(app, "_hash", hash(key))
+        object.__setattr__(app, "key", (op.rank, op.name, arg.key))
+        object.__setattr__(app, "_hash", hash((op.rank, op.name, arg._hash)))
         _intern(ident, app)
         return app
 
@@ -144,8 +148,12 @@ class Word:
     __slots__ = ("letters", "ops", "op_degree", "letter_degree", "key", "_hash")
 
     def __new__(cls, letters=(), ops=()):
-        letters = tuple(sorted(letters, reverse=True))
-        ops = tuple(sorted(ops, key=_factor_key, reverse=True))
+        ident = (tuple(letters), tuple(ops))
+        word = _TABLE.get(ident)
+        if word is not None:
+            return word
+        letters = tuple(sorted(ident[0], reverse=True))
+        ops = tuple(sorted(ident[1], key=_factor_key, reverse=True))
         ident = (letters, ops)
         word = _TABLE.get(ident)
         if word is not None:
@@ -165,7 +173,7 @@ class Word:
         object.__setattr__(word, "op_degree", op_degree)
         object.__setattr__(word, "letter_degree", letter_degree)
         object.__setattr__(word, "key", key)
-        object.__setattr__(word, "_hash", hash(key))
+        object.__setattr__(word, "_hash", hash((letters,) + tuple(f._hash for f in ops)))
         _intern(ident, word)
         return word
 
@@ -317,14 +325,30 @@ class Context:
         ops = tuple(ops)
         if len(cofactors) != len(ops) + 1:
             raise ValueError("a context needs one more cofactor than operators")
-        key = (
-            tuple((o.rank, o.name) for o in ops),
-            tuple(c.key for c in cofactors),
+        self._set(
+            cofactors,
+            ops,
+            (tuple((o.rank, o.name) for o in ops), tuple(c.key for c in cofactors)),
         )
+
+    def _set(self, cofactors, ops, key):
         object.__setattr__(self, "cofactors", cofactors)
         object.__setattr__(self, "ops", ops)
         object.__setattr__(self, "key", key)
-        object.__setattr__(self, "_hash", hash(key))
+        object.__setattr__(self, "_hash", hash((key[0],) + tuple(c._hash for c in cofactors)))
+
+    def wrap(self, sibling, op):
+        """This context one level down: op(self) beside the word sibling.
+
+        The key is this context's key grown by one level, not rebuilt.
+        """
+        ctx = object.__new__(Context)
+        ctx._set(
+            (sibling,) + self.cofactors,
+            (op,) + self.ops,
+            (((op.rank, op.name),) + self.key[0], (sibling.key,) + self.key[1]),
+        )
+        return ctx
 
     def __setattr__(self, *_):
         raise AttributeError("Context is immutable")
@@ -334,7 +358,14 @@ class Context:
 
     @classmethod
     def star(cls):
-        return cls((_UNIT,), ())
+        return cls.top(_UNIT)
+
+    @classmethod
+    def top(cls, cofactor):
+        """The context with its hole at the top level beside cofactor."""
+        ctx = object.__new__(cls)
+        ctx._set((cofactor,), (), ((), (cofactor.key,)))
+        return ctx
 
     def is_star(self):
         return not self.ops and self.cofactors[0].is_unit()
@@ -381,18 +412,27 @@ class Context:
 def substitute_letters(word, mapping):
     """Replace letters by words throughout, merging into each level.
 
-    Letters absent from ``mapping`` are kept.  Used to instantiate rule
+    Letters absent from ``mapping`` are kept, and a word with no mapped
+    letter under it is returned as it is.  Used to instantiate rule
     schemas, whose variables are letters in a reserved namespace.
     """
-    out = _UNIT
-    untouched = []
+    letters = []
+    ops = []
+    changed = False
     for name in word.letters:
         repl = mapping.get(name)
         if repl is None:
-            untouched.append(name)
+            letters.append(name)
         else:
-            out = out * repl
-    new_ops = []
+            changed = True
+            letters.extend(repl.letters)
+            ops.extend(repl.ops)
     for f in word.ops:
-        new_ops.append(OpApp(f.op, substitute_letters(f.arg, mapping)))
-    return out * Word(tuple(untouched), tuple(new_ops))
+        arg = substitute_letters(f.arg, mapping)
+        if arg is not f.arg:
+            changed = True
+            f = OpApp(f.op, arg)
+        ops.append(f)
+    if not changed:
+        return word
+    return Word(letters, ops)

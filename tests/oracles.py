@@ -15,8 +15,9 @@ references the replacements must reproduce exactly.
 ``enumerate_irr_reference`` is the engine's own matcher run over every
 word, which the pruned enumerator replaced.  ``match_rule_reference``
 walks every nesting level of a word, building each level's spine of
-sibling words, and matches the pattern into each level with the engine's
-level matcher; the structural, memoised ``match_rule`` replaced it.
+sibling words, and matches the uncompiled pattern word into each level
+with its own level matcher, which the engine's compiled matcher replaced;
+the structural, memoised ``match_rule`` replaced the walk.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ from opalg.coeff import Scalar
 from opalg.gsbases import enumerate_words
 from opalg.models import HurwitzSeries
 from opalg.poly import OpPolynomial
-from opalg.rewrite import Match, _match_at_level, is_irreducible
+from opalg.rewrite import Match, is_irreducible
 from opalg.syntax import DEFAULT_OPERATORS, ParseError, _tokenize
-from opalg.terms import OP_D, OP_P, Context, Word
+from opalg.terms import OP_D, OP_P, Context, Word, _tuple_subtract
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +165,61 @@ def _fibonacci(n):
 # ---------------------------------------------------------------------------
 # matching level by level
 # ---------------------------------------------------------------------------
+
+def _match_exact(pattern, target, varset, binding):
+    """Bindings making pattern cover all of target, at one operator argument."""
+    concrete = tuple(l for l in pattern.letters if l not in varset)
+    bare_vars = [l for l in pattern.letters if l in varset]
+    rest_letters = _tuple_subtract(target.letters, concrete)
+    if rest_letters is None:
+        return []
+    out = []
+    for bnd, used in _assign_ops(pattern.ops, target.ops, varset, binding):
+        leftover_ops = tuple(
+            f for i, f in enumerate(target.ops) if i not in used
+        )
+        if bare_vars:
+            word = Word(rest_letters, leftover_ops)
+            b2 = dict(bnd)
+            b2[bare_vars[0]] = word
+            out.append(b2)
+        else:
+            if rest_letters or leftover_ops:
+                continue
+            out.append(bnd)
+    return out
+
+
+def _assign_ops(pat_ops, target_ops, varset, binding, used=frozenset()):
+    """Injective assignments of pattern operator factors to target factors,
+    trying only the first free one of identical target factors."""
+    if not pat_ops:
+        return [(binding, used)]
+    first, rest = pat_ops[0], pat_ops[1:]
+    out = []
+    tried = set()
+    for i, tf in enumerate(target_ops):
+        if i in used or tf.op != first.op or tf in tried:
+            continue
+        tried.add(tf)
+        for b1 in _match_exact(first.arg, tf.arg, varset, binding):
+            out.extend(_assign_ops(rest, target_ops, varset, b1, used | {i}))
+    return out
+
+
+def _match_at_level(pattern, level, varset):
+    """(binding, leftover word) pairs matching the pattern into one level."""
+    rest_letters = _tuple_subtract(level.letters, pattern.letters)
+    if rest_letters is None or len(pattern.ops) > len(level.ops):
+        return []
+    out = []
+    for bnd, used in _assign_ops(pattern.ops, level.ops, varset, {}):
+        leftover = Word(
+            rest_letters, tuple(f for i, f in enumerate(level.ops) if i not in used)
+        )
+        out.append((bnd, leftover))
+    return out
+
 
 def _positions(word):
     """Yield (spine, subword) for every level of ``word``: the spine lists

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -405,6 +406,18 @@ def test_cli_irr_huge_size_refused_at_once(capsys):
     code, out, err = _run(capsys, ["irr", "--size", "1000000000"])
     assert code == 3 and out == ""
     assert err.startswith("limit:") and "Traceback" not in err
+
+
+def test_cli_irr_over_the_total_size_exit_3(tmp_path, capsys):
+    # without operators 999,999 is within the word count, exactly 10^6 words,
+    # but they hold about 5·10^11 letters in all
+    path = tmp_path / "letters.json"
+    path.write_text(json.dumps({"operators": [], "generators": ["x"], "rules": []}))
+    t0 = time.perf_counter()
+    code, out, err = _run(capsys, ["irr", "--theory", str(path), "--size", "999999"])
+    assert code == 3 and out == ""
+    assert err.startswith("limit:") and "total size" in err and "Traceback" not in err
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_cli_compose(capsys):

@@ -8,6 +8,7 @@ import pytest
 from opalg.cli import parse_polynomial as P, parse_word as W, ruleset_from_dict
 from opalg import coeff, gsbases
 from opalg.gsbases import (
+    SIZE_CAP,
     WORD_CAP,
     BoundExceeded,
     MonomialNotBelowAmbiguity,
@@ -195,15 +196,17 @@ def test_word_count_before_enumerating():
         for operators in ((OP_D,), (OP_D, OP_P)):
             for bound in range(7):
                 words = enumerate_words(bound, generators, operators)
-                assert _count_words(bound, len(generators), len(operators)) == len(words)
+                assert _count_words(bound, len(generators), len(operators)) == (
+                    len(words), sum(w.size for w in words)
+                )
     # refused before a word is built, as soon as the count passes the cap
-    assert _count_words(8, 1, 2) <= WORD_CAP < _count_words(9, 1, 2)
+    assert _count_words(8, 1, 2)[0] <= WORD_CAP < _count_words(9, 1, 2)[0]
     with pytest.raises(BoundExceeded):
         enumerate_words(9, ("x",), (OP_D, OP_P))
     # past the cap below the bound the count stops; a huge bound is refused at once
     assert _count_words(10, 1, 2) is None
     assert _count_words(WORD_CAP, 1, 0) is None and _count_words(WORD_CAP, 0, 1) is None
-    assert _count_words(10**20, 0, 0) == 1
+    assert _count_words(10**20, 0, 0) == (1, 0)
     with pytest.raises(BoundExceeded, match=f"^more than {WORD_CAP} words"):
         enumerate_words(10**20, ("x",), (OP_D,))
 
@@ -212,13 +215,15 @@ def _count_letter_words_euler(size_bound, n_generators):
     """``_count_words`` without operators, by the Euler-transform loop."""
     words, c = [1], [0]
     total = 1
+    size = 0
     for n in range(1, size_bound + 1):
         c.append(n_generators)  # only the primes of size 1, the letters
         words.append(sum(c[k] * words[n - k] for k in range(1, n + 1)) // n)
         total += words[n]
+        size += n * words[n]
         if total > WORD_CAP and n < size_bound:
             return None
-    return total
+    return total, size
 
 
 def test_word_count_without_operators_is_closed_form():
@@ -228,12 +233,22 @@ def test_word_count_without_operators_is_closed_form():
     # three generators pass the cap between sizes 179 and 180
     for bound in range(178, 183):
         assert _count_words(bound, 3, 0) == _count_letter_words_euler(bound, 3)
-    assert _count_words(180, 3, 0) == 1_004_731 and _count_words(181, 3, 0) is None
+    assert _count_words(180, 3, 0)[0] == 1_004_731 and _count_words(181, 3, 0) is None
     t0 = time.perf_counter()
-    assert _count_words(4000, 1, 0) == 4001
-    assert _count_words(WORD_CAP - 1, 1, 0) == WORD_CAP
+    assert _count_words(4000, 1, 0) == (4001, 4000 * 4001 // 2)
+    assert _count_words(WORD_CAP - 1, 1, 0) == (WORD_CAP, (WORD_CAP - 1) * WORD_CAP // 2)
     # the Euler-transform loop took over a second for the first of these
     assert time.perf_counter() - t0 < 0.1
+
+
+def test_enumeration_refused_past_the_total_size():
+    # 10^6 words of one letter pass the word count but hold about 5·10^11
+    # letters; the largest enumeration within the word cap stays inside
+    assert _count_words(999_999, 1, 0)[0] == WORD_CAP
+    with pytest.raises(BoundExceeded, match="total size"):
+        enumerate_words(999_999, ("x",), ())
+    assert _count_words(8, 1, 2)[1] <= SIZE_CAP
+    assert len(enumerate_words(7, ("x",), ())) == 8
 
 
 def test_duplicate_generators_count_once():
@@ -290,14 +305,14 @@ def test_enumerator_extends_only_irreducible_words(monkeypatch):
     checked = set()
     match = gsbases._match_at_level
 
-    def counting(pattern, level, varset):
+    def counting(pattern, level):
         checked.add(level)
-        return match(pattern, level, varset)
+        return match(pattern, level)
 
     monkeypatch.setattr(gsbases, "_match_at_level", counting)
     words = enumerate_irr(DRB, 5, ("x", "y"))
     assert len(words) == 842
-    assert len(checked) == 1165 < _count_words(5, 2, 2) == 3236
+    assert len(checked) == 1165 < _count_words(5, 2, 2)[0] == 3236
 
 
 @pytest.mark.parametrize("name", sorted(IRR_COUNT_CLOSED_FORMS))

@@ -4,6 +4,7 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from opalg import coeff, rewrite
 from opalg.coeff import Scalar
@@ -16,6 +17,7 @@ from opalg.rewrite import (
     StepLimitExceeded,
     UnverifiedTheory,
     certificate_sum,
+    find_occurrences,
     ideal_member,
     is_irreducible,
     match_rule,
@@ -23,8 +25,8 @@ from opalg.rewrite import (
     reduce_once,
 )
 from opalg.sampling import random_polynomial, random_word
-from opalg.terms import OP_D, OP_P, Context, Word
-from oracles import match_rule_reference
+from opalg.terms import OP_D, OP_P, Context, OpApp, Word, substitute_letters
+from oracles import match_rule_reference, oracle_occurrences
 
 D_THEORY = preset("d")
 RB_THEORY = preset("rb")
@@ -323,14 +325,69 @@ def test_match_rule_matches_reference():
             assert match_rule(m, rule) == match_rule_reference(m, rule), (str(m), rule.name)
 
 
+_RULES = sorted(
+    {rule for theory in PRESETS.values() for rule in theory.rules} | set(broken_rb().rules),
+    key=lambda r: r.name,
+)
+_NAMES = st.sampled_from("xy")
+_OPS = st.sampled_from((OP_D, OP_P))
+_WORDS = st.recursive(
+    st.lists(_NAMES, max_size=2).map(Word),
+    lambda inner: st.builds(
+        Word, st.lists(_NAMES, max_size=2), st.lists(st.builds(OpApp, _OPS, inner), max_size=3)
+    ),
+    max_leaves=8,
+)
+# words with repeated factors at the top level and inside nested arguments
+_TARGETS = st.one_of(
+    _WORDS,
+    st.builds(lambda w: w * w, _WORDS),
+    st.builds(lambda w, v, op: (w * w).apply(op) * v, _WORDS, _WORDS, _OPS),
+    st.builds(lambda w, v, op: (w.apply(op) * w.apply(op) * v).apply(op) * w, _WORDS, _WORDS, _OPS),
+)
+
+
+@settings(max_examples=150)
+@given(_TARGETS, st.data())
+def test_matcher_fuzzed_against_the_oracles(m, data):
+    for rule in _RULES:
+        matches = match_rule(m, rule)
+        reference = match_rule_reference(m, rule)
+        assert matches == reference, rule.name
+        assert [mt.key for mt in matches] == [mt.key for mt in reference], rule.name
+        for mt in matches:
+            ctx, binding = mt.context, mt.binding
+            assert ctx.substitute(rule.lhs_instance(binding)) == m
+            assert mt.reduct() == tuple(
+                ctx.substitute(substitute_letters(w0, binding)) for w0 in rule.rhs.monomials()
+            ), rule.name
+    targets = [Word((), (f,)) for f in m.ops] + [f.arg for f in m.ops] + [X]
+    targets.append(data.draw(_WORDS))
+    for target in targets:
+        if not target.is_unit():
+            assert find_occurrences(m, target) == oracle_occurrences(m, target)
+
+
+def test_match_copy_and_pickle():
+    checked = 0
+    for rule in _RULES:
+        for m in _matcher_test_words()[:60]:
+            for mt in match_rule(m, rule):
+                for c in (copy.copy(mt), copy.deepcopy(mt), pickle.loads(pickle.dumps(mt))):
+                    assert c == mt and c.key == mt.key and c.reduct() == mt.reduct()
+                    assert (c.rule, c.context, c.binding) == (mt.rule, mt.context, mt.binding)
+                checked += 1
+    assert checked > 100
+
+
 def _count_level_matches(monkeypatch):
     """Empty the match cache and count _match_at_level calls from now on."""
     calls = []
     match = rewrite._match_at_level
 
-    def counting(pattern, level, varset):
+    def counting(pattern, level):
         calls.append(level)
-        return match(pattern, level, varset)
+        return match(pattern, level)
 
     monkeypatch.setattr(rewrite, "_MATCH_CACHE", {})
     monkeypatch.setattr(rewrite, "_match_at_level", counting)

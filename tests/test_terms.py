@@ -117,6 +117,18 @@ def _random_context(rng):
     return Context(cofs, ops)
 
 
+def test_context_wrap_is_the_context_one_level_down():
+    rng = random.Random(8)
+    for _ in range(50):
+        ctx = _random_context(rng)
+        s = random_word(rng, 3, ("a", "b"), (OP_D, OP_P))
+        op = (OP_D, OP_P)[rng.randrange(2)]
+        wrapped = ctx.wrap(s, op)
+        built = Context((s,) + ctx.cofactors, (op,) + ctx.ops)
+        assert wrapped == built and wrapped.key == built.key and hash(wrapped) == hash(built)
+        assert wrapped.substitute(X) == s * ctx.substitute(X).apply(op)
+
+
 def test_context_requires_single_hole_shape():
     with pytest.raises(ValueError):
         Context((X,), (OP_D,))
@@ -153,6 +165,15 @@ def test_substitute_letters_merges():
     assert out == d(p(Z) * Z * Y) * p(Z) * Z
 
 
+def test_substitute_letters_returns_an_unmapped_word_itself():
+    rng = random.Random(9)
+    for _ in range(50):
+        w = random_word(rng, 6, ("x", "y"), (OP_D, OP_P))
+        assert substitute_letters(w, {"z": X * Y}) is w
+        assert substitute_letters(w, {}) is w
+    assert substitute_letters(d(X) * Y, {"y": Word.unit()}) is d(X)
+
+
 def test_str_round_shapes():
     assert str(Word.unit()) == "1"
     assert str(d(Word.unit())) == "d(1)"
@@ -160,6 +181,14 @@ def test_str_round_shapes():
 
 
 # -- hash-consing --------------------------------------------------------------
+
+@pytest.fixture(autouse=True)
+def _fresh_table(monkeypatch):
+    """Equal words are one object only among the words built since the
+    bounded table was last cleared, and the tests run before these may have
+    cleared it, so each test here starts from a table holding the unit."""
+    monkeypatch.setattr(terms, "_TABLE", {((), ()): Word.unit()})
+
 
 _NAMES = st.sampled_from("xyz")
 _OPS = st.sampled_from((OP_D, OP_P))
@@ -213,6 +242,32 @@ def test_word_operations_return_the_tables_objects(u, v, op):
     assert _is_interned(ctx.substitute(v))
     assert ctx.substitute(Word.unit()) is u * v.apply(op)
     assert (Word.unit() * Word.unit()) is Word.unit() is Word()
+
+
+def test_rebuilding_interned_words_sorts_nothing(monkeypatch):
+    # the table is looked up before the factors are sorted, so a word built
+    # from its canonical tuples, as products and contexts mostly are, is a
+    # hit without a sort; only a miss sorts
+    rng = random.Random(42)
+    corpus = []
+    for _ in range(100):
+        _subwords(random_word(rng, 7, ("x", "y"), (OP_D, OP_P)), corpus)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return sorted(*args, **kwargs)
+
+    monkeypatch.setattr(terms, "sorted", counting, raising=False)
+    for w in corpus:
+        assert Word(w.letters, w.ops) is w
+        assert all(OpApp(f.op, f.arg) is f for f in w.ops)
+        assert w * Word.unit() is w
+    assert calls == []
+    w = d(X) * p(Y) * X * Y
+    calls.clear()
+    assert Word(w.letters[::-1], w.ops[::-1]) is w
+    assert calls == [w.letters[::-1], w.ops[::-1]]
 
 
 def test_parsed_and_enumerated_words_are_interned():

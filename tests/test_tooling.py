@@ -121,3 +121,10 @@ def test_benchmark_tracer_installs():
     # an exact count for the fixed round: the axiom checks at window 6 make 24
     # series products, so a change that adds products shows here, not as noise
     assert metrics["models.hurwitz_muls"] == 24
+    # the matcher's counters for the same round, so a change in what is
+    # matched or reduced shows as a diff; words built may only fall
+    assert metrics["rewrite.match_calls"] == 71
+    assert metrics["rewrite.matches_returned"] == 108
+    assert metrics["gsbases.compositions"] == 10
+    assert metrics["rewrite.nf_calls"] == 11
+    assert metrics["terms.words_built"] <= 1510
