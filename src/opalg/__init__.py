@@ -8,7 +8,7 @@ models (Hurwitz series and scalar operators) used as soundness oracles.
 
 from .coeff import Scalar, InvalidWeight, PoleAtWeight
 from .terms import Operator, OpApp, Word, Context, OP_D, OP_P
-from .order import compare, compare_explain, LESS, EQUAL, GREATER
+from .terms import compare, compare_explain, LESS, EQUAL, GREATER
 from .poly import OpPolynomial, ZeroPolynomial
 from .rewrite import (
     RuleSchema,

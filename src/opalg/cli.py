@@ -29,12 +29,10 @@ from .models import (
     DegenerateModel,
     HurwitzConstrainedModel,
     RationalRing,
-    XiModel,
     check_axioms,
     constrained_series,
     evaluate_in_model,
 )
-from .order import EQUAL, GREATER, LESS, compare_explain
 from .poly import OpPolynomial
 from .rewrite import (
     DEFAULT_STEP_LIMIT,
@@ -50,7 +48,7 @@ from .syntax import (
     parse_polynomial,
     parse_word,
 )
-from .terms import Operator
+from .terms import EQUAL, GREATER, LESS, Operator, compare_explain
 
 __all__ = ["load_ruleset", "main"]
 
@@ -150,8 +148,7 @@ def _steps_json(f, steps):
     out = []
     before = f
     for s in steps:
-        inst = s.rule.instantiate(s.binding).in_context(s.context)
-        after = before - inst.scale(s.coefficient)
+        after = before - s.polynomial()
         out.append(_step_json(s, before, after))
         before = after
     return out
@@ -318,10 +315,10 @@ def _cmd_hurwitz_check(args):
 
 
 def _make_model(name, weight, trunc):
-    if name == "degenerate":
+    # xi is the degenerate model: P(x) = xi*x and d(x) = x/xi for the
+    # quasi-idempotent element xi = -w
+    if name in ("degenerate", "xi"):
         return DegenerateModel(RationalRing(), weight)
-    if name == "xi":
-        return XiModel(RationalRing(), weight)
     if name == "hurwitz":
         return HurwitzConstrainedModel(RationalRing(), weight, window=trunc)
     raise ValueError(f"unknown model {name!r}")
@@ -450,7 +447,11 @@ def main(argv=None):
     args = parser.parse_args(_attach_negative_weights(argv))
     try:
         return args.fn(args)
-    except (ValueError, KeyError, ArithmeticError, OSError) as exc:
+    except KeyError as exc:
+        # str() of a KeyError is the repr of its key, quotes and all
+        print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
+        return 2
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (StepLimitExceeded, BoundExceeded) as exc:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-__all__ = ["Scalar", "InvalidWeight", "PoleAtWeight", "exact_fraction"]
+__all__ = ["Scalar", "InvalidWeight", "PoleAtWeight", "exact_fraction", "exact_weight"]
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -51,6 +51,15 @@ def exact_fraction(x):
 
 class InvalidWeight(ValueError):
     """The concrete weight must be a nonzero rational."""
+
+
+def exact_weight(weight):
+    """A concrete weight as a Fraction: exact (see :func:`exact_fraction`)
+    and nonzero, else ``InvalidWeight``."""
+    w = exact_fraction(weight)
+    if w == 0:
+        raise InvalidWeight("weight must be nonzero")
+    return w
 
 
 class PoleAtWeight(ArithmeticError):
@@ -280,9 +289,7 @@ class Scalar:
 
     def specialize(self, weight):
         """Evaluate at a concrete nonzero rational weight, exactly."""
-        w = exact_fraction(weight)
-        if w == 0:
-            raise InvalidWeight("weight must be nonzero")
+        w = exact_weight(weight)
         a = self.monomial
         if a is not None:
             return a[0] * w ** a[1]

@@ -105,7 +105,8 @@ class MonomialNotBelowAmbiguity(ValueError):
 
 class BoundExceeded(RuntimeError):
     """A word enumeration would hold more than WORD_CAP words, or words of
-    total size more than SIZE_CAP."""
+    total size more than SIZE_CAP; or a verification context family more
+    than WORD_CAP contexts."""
 
 
 @dataclass(frozen=True)
@@ -119,7 +120,7 @@ class TheoryPreset:
         for r in self.rules:
             if r.name == name:
                 return r
-        raise KeyError(name)
+        raise KeyError(f"theory {self.name} has no rule {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -297,15 +298,14 @@ def check_triviality(h, rules, omega):
 
     Returns (trivial, steps, normal_form): trivial means the normal form is
     zero, in which case the trace is an explicit representation of h by
-    rule instances all below omega.
+    rule instances all below omega.  Every redex is below omega: it is a
+    monomial of h, checked here, or a word a step added below its redex,
+    which ``normal_form`` checks.
     """
     for w in h.monomials():
         if not w < omega:
             raise MonomialNotBelowAmbiguity(f"monomial {w} not below ambiguity {omega}")
     res = normal_form(h, rules, collect_steps=True)
-    for s in res.steps:
-        if not s.redex < omega:
-            raise MonomialNotBelowAmbiguity(f"redex {s.redex} not below ambiguity {omega}")
     return res.poly.is_zero(), res.steps, res.poly
 
 
@@ -355,9 +355,23 @@ def _cofactor_options(level, bound):
 
 
 def _context_family(depth_bound, cofactor_bound, operators):
-    """Hole at depth <= bound, every operator wrap, bounded fresh cofactors."""
+    """Hole at depth <= bound, every operator wrap, bounded fresh cofactors.
+
+    With k operators and C cofactors there are k^d·(C+1)^(d+1) contexts of
+    depth d, and none deeper than 0 without operators.  The family is
+    counted before it is built, and refused past WORD_CAP contexts.
+    """
+    depths = range(depth_bound + 1 if operators else 1)
+    total = 0
+    for depth in depths:
+        total += len(operators) ** depth * (cofactor_bound + 1) ** (depth + 1)
+        if total > WORD_CAP:
+            raise BoundExceeded(
+                f"more than {WORD_CAP} contexts of depth at most {depth_bound}"
+                f" and cofactor bound {cofactor_bound}"
+            )
     out = []
-    for depth in range(depth_bound + 1):
+    for depth in depths:
         level_opts = [_cofactor_options(i, cofactor_bound) for i in range(depth + 1)]
         for ops_choice in itertools.product(operators, repeat=depth):
             for cofs in itertools.product(*level_opts):

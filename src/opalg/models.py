@@ -60,7 +60,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 from .coeff import InvalidWeight, PoleAtWeight  # re-exported for callers
-from .coeff import exact_fraction
+from .coeff import exact_fraction, exact_weight
 
 __all__ = [
     "RationalRing",
@@ -70,7 +70,6 @@ __all__ = [
     "constrained_series",
     "OperatorModel",
     "DegenerateModel",
-    "XiModel",
     "HurwitzConstrainedModel",
     "LeftMultiplicationModel",
     "check_axioms",
@@ -196,12 +195,9 @@ class HurwitzSeries:
     __slots__ = ("ring", "weight", "sigma")
 
     def __init__(self, ring, weight, coeffs):
-        weight = exact_fraction(weight)
-        if weight == 0:
-            raise InvalidWeight("weight must be nonzero")
         self.ring = ring
-        self.weight = weight
-        self.sigma = _to_sigma(coeffs, weight)
+        self.weight = exact_weight(weight)
+        self.sigma = _to_sigma(coeffs, self.weight)
 
     @classmethod
     def _of(cls, ring, weight, sigma):
@@ -314,9 +310,7 @@ def unit_series(ring, weight, window):
 def constrained_series(ring, weight, seed, window):
     """The sequence determined by f(n) = -(1/w) f(n-1) from a seed value,
     which is (seed, 0, ..., 0) in sigma-coordinates."""
-    w = exact_fraction(weight)
-    if w == 0:
-        raise InvalidWeight("weight must be nonzero")
+    w = exact_weight(weight)
     if window < 1:
         raise ValueError("the window must hold at least one entry")
     seed = ring.coerce(seed) if isinstance(seed, (int, float, Fraction)) else seed
@@ -342,9 +336,7 @@ class OperatorModel:
 
     def __init__(self, ring, weight):
         self.ring = ring
-        self.weight = exact_fraction(weight)
-        if self.weight == 0:
-            raise InvalidWeight("weight must be nonzero")
+        self.weight = exact_weight(weight)
 
     def one(self):
         return self.ring.one()
@@ -369,13 +361,6 @@ class DegenerateModel(OperatorModel):
 
     def p(self, a):
         return -self.weight * a
-
-
-class XiModel(DegenerateModel):
-    """Operators induced by the quasi-idempotent element xi = -w:
-    P(x) = xi*x and d(x) = x/xi, which is the degenerate model."""
-
-    name = "xi"
 
 
 class LeftMultiplicationModel(OperatorModel):
@@ -496,7 +481,7 @@ def _eval_word(word, model, assignment):
     acc = None
     for name in word.letters:
         if name not in assignment:
-            raise MissingAssignment(name)
+            raise MissingAssignment(f"no value assigned to the generator {name!r}")
         val = assignment[name]
         acc = val if acc is None else acc * val
     for f in word.ops:

@@ -12,11 +12,25 @@ from . import coeff
 from .coeff import Scalar
 from .terms import Word, substitute_letters
 
-__all__ = ["OpPolynomial", "ZeroPolynomial"]
+__all__ = ["OpPolynomial", "ZeroPolynomial", "add_term"]
 
 
 class ZeroPolynomial(ArithmeticError):
     """The zero polynomial has no leading term."""
+
+
+def add_term(terms, word, c):
+    """Add c·word into a ``{Word: Scalar}`` map, dropping the word if its
+    coefficient cancels; c must be nonzero."""
+    prev = terms.get(word)
+    if prev is None:
+        terms[word] = c
+    else:
+        c = prev + c
+        if c:
+            terms[word] = c
+        else:
+            del terms[word]
 
 
 class OpPolynomial:
@@ -26,17 +40,8 @@ class OpPolynomial:
         data = {}
         items = terms.items() if isinstance(terms, dict) else terms
         for word, c in items:
-            if not c:
-                continue
-            prev = data.get(word)
-            if prev is None:
-                data[word] = c
-            else:
-                s = prev + c
-                if s:
-                    data[word] = s
-                else:
-                    del data[word]
+            if c:
+                add_term(data, word, c)
         object.__setattr__(self, "_terms", data)
         object.__setattr__(self, "_desc", None)
         object.__setattr__(self, "_hash", None)
@@ -107,15 +112,7 @@ class OpPolynomial:
             return other
         data = dict(self._terms)
         for word, c in other._terms.items():
-            prev = data.get(word)
-            if prev is None:
-                data[word] = c
-            else:
-                s = prev + c
-                if s:
-                    data[word] = s
-                else:
-                    del data[word]
+            add_term(data, word, c)
         out = OpPolynomial(())
         object.__setattr__(out, "_terms", data)
         return out

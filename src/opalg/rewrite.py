@@ -255,6 +255,11 @@ class Step:
     redex: Word
     coefficient: object
 
+    def polynomial(self):
+        """What the step subtracts: coefficient * context[rule instance]."""
+        inst = self.rule.instantiate(self.binding).in_context(self.context)
+        return inst.scale(self.coefficient)
+
 
 @dataclass(frozen=True)
 class NFResult:
@@ -424,11 +429,8 @@ def is_irreducible(word, rules):
 # ---------------------------------------------------------------------------
 
 def _apply(f, word, match):
-    c = f.coefficient(word)
-    rhs_inst = match.rule.rhs_instance(match.binding)
-    repl_poly = rhs_inst.in_context(match.context).scale(c)
-    after = f - OpPolynomial.from_word(word, c) + repl_poly
-    return after, Step(match.rule, match.context, match.binding, word, c)
+    step = Step(match.rule, match.context, match.binding, word, f.coefficient(word))
+    return f - step.polynomial(), step
 
 
 def reduce_once(f, rules, strategy="leading", rng=None):
@@ -559,8 +561,7 @@ def certificate_sum(steps):
     """
     total = OpPolynomial.zero()
     for s in steps:
-        inst = s.rule.instantiate(s.binding)
-        total = total + inst.in_context(s.context).scale(s.coefficient)
+        total = total + s.polynomial()
     return total
 
 

@@ -14,7 +14,7 @@ from .coeff import Scalar
 from .poly import OpPolynomial
 from .terms import Word
 
-__all__ = ["random_word", "random_polynomial", "default_coefficients"]
+__all__ = ["random_word", "random_polynomial"]
 
 
 def random_word(rng, max_size, letters, operators, allow_unit=True):
@@ -43,28 +43,26 @@ def _build(rng, budget, letters, operators):
     return word
 
 
-def default_coefficients():
-    return (
-        coeff.ONE,
-        -coeff.ONE,
-        Scalar.from_rational(2),
-        Scalar.from_rational(-3),
-        Scalar.from_rational(Fraction(1, 2)),
-        Scalar.lam(1),
-        Scalar.lam(-1),
-        -Scalar.lam(-2),
-    )
+#: The coefficients a random polynomial draws from, and its most terms.
+_COEFFICIENTS = (
+    coeff.ONE,
+    -coeff.ONE,
+    Scalar.from_rational(2),
+    Scalar.from_rational(-3),
+    Scalar.from_rational(Fraction(1, 2)),
+    Scalar.lam(1),
+    Scalar.lam(-1),
+    -Scalar.lam(-2),
+)
+_MAX_TERMS = 4
 
 
-def random_polynomial(
-    rng, max_size, letters, operators, max_terms=4, coefficients=None
-):
+def random_polynomial(rng, max_size, letters, operators):
     """A random polynomial whose every monomial has size at most max_size."""
-    pool = coefficients or default_coefficients()
-    n = rng.randint(1, max_terms)
+    n = rng.randint(1, _MAX_TERMS)
     terms = []
     for _ in range(n):
         w = random_word(rng, max_size, letters, operators)
-        c = pool[rng.randrange(len(pool))]
+        c = _COEFFICIENTS[rng.randrange(len(_COEFFICIENTS))]
         terms.append((w, c))
     return OpPolynomial(terms)

@@ -13,7 +13,7 @@ multiplied in last, and only the finished polynomial is an ``OpPolynomial``.
 from __future__ import annotations
 
 from .coeff import ONE, ZERO, Scalar
-from .poly import OpPolynomial
+from .poly import OpPolynomial, add_term
 from .terms import OP_D, OP_P, OpApp, Word
 
 __all__ = [
@@ -101,7 +101,7 @@ class _Parser:
         while self.peek()[0] in ("+", "-"):
             negate = self.take()[0] == "-"
             for w, c in self.product().items():
-                _add_term(acc, w, -c if negate else c)
+                add_term(acc, w, -c if negate else c)
         return acc
 
     def product(self):
@@ -218,25 +218,12 @@ def _as_scalar(factor):
     return None if letters or ops else c
 
 
-def _add_term(terms, w, c):
-    """Add c·w into a term dict, dropping the word if its coefficient cancels."""
-    prev = terms.get(w)
-    if prev is None:
-        terms[w] = c
-    else:
-        c = prev + c
-        if c:
-            terms[w] = c
-        else:
-            del terms[w]
-
-
 def _mul(a, b):
     """The product of two term dicts, as a new dict."""
     out = {}
     for w1, c1 in a.items():
         for w2, c2 in b.items():
-            _add_term(out, w1 * w2, c1 * c2)
+            add_term(out, w1 * w2, c1 * c2)
     return out
 
 

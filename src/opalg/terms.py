@@ -27,12 +27,16 @@ Canonical form
     built on either side of a clear (or by two threads missing at once) are
     distinct objects that still compare equal, so a clear changes no result.
 
-Every word carries a precomputed ``key`` realising the term order used by
-the whole engine (see :mod:`opalg.order`): operator degree first, then the
-number of top-level operator factors, then the tuple of operator ranks, the
-tuple of argument keys, and finally the top-level letter block compared by
-degree then descending letter sequence.  Python tuple comparison on ``key``
-is exactly the order comparison.
+The term order used by the whole engine compares words by (1) total
+operator degree, (2) number of top-level operator factors, (3) the tuple of
+top-level operator ranks, (4) the tuple of operator arguments compared
+recursively, (5) the top-level letter block under degree then descending
+letter sequence.  The order is total, and compatible with products and with
+wrapping in contexts (checked by the property suite, which the engine's
+termination and critical-pair machinery rely on).  Every word carries a
+precomputed ``key`` with one entry per tier, so Python tuple comparison on
+``key`` is exactly the order comparison; :func:`compare` and
+:func:`compare_explain` are its public surface.
 
 A :class:`Context` is a word with exactly one hole; substitution replaces
 the hole by a word and merges its factors into the surrounding level.  All
@@ -51,6 +55,11 @@ __all__ = [
     "OP_D",
     "OP_P",
     "substitute_letters",
+    "LESS",
+    "EQUAL",
+    "GREATER",
+    "compare",
+    "compare_explain",
 ]
 
 
@@ -407,6 +416,34 @@ class Context:
             out = f"{self.ops[i].name}({inner})"
         top = self.cofactors[0]
         return out if top.is_unit() else f"{out}*{top}"
+
+
+LESS = -1
+EQUAL = 0
+GREATER = 1
+
+#: The names of the entries of ``Word.key``, one per tier of the order.
+_TIERS = ("degree", "op-breadth", "lex(operator)", "lex(argument)", "lex(letters)")
+
+
+def compare(u, v):
+    """Return -1, 0 or 1 as u is below, equal to, or above v."""
+    a, b = u.key, v.key
+    if a < b:
+        return LESS
+    if a > b:
+        return GREATER
+    return EQUAL
+
+
+def compare_explain(u, v):
+    """Compare and name the tier that decided, for diagnostics."""
+    for tier, (a, b) in zip(_TIERS, zip(u.key, v.key)):
+        if a < b:
+            return LESS, tier
+        if a > b:
+            return GREATER, tier
+    return EQUAL, "equal"
 
 
 def substitute_letters(word, mapping):

@@ -420,6 +420,22 @@ def test_cli_irr_over_the_total_size_exit_3(tmp_path, capsys):
     assert time.perf_counter() - t0 < 1.0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compose", "--theory", "rb", "--left", "p_quasi_idem", "--right", "p_quasi_idem",
+         "--depth", "40"],
+        ["verify", "--theory", "rb", "--depth", "30", "--cofactors", "3"],
+    ],
+    ids=" ".join,
+)
+def test_cli_context_family_over_the_word_cap_exit_3(capsys, argv):
+    # sum over d <= D of k^d·(C+1)^(d+1) contexts: counted, never built
+    code, out, err = _run(capsys, argv)
+    assert code == 3 and out == ""
+    assert err.startswith("limit:") and "contexts" in err and "Traceback" not in err
+
+
 def test_cli_compose(capsys):
     code, out, _ = _run(
         capsys,
@@ -561,6 +577,13 @@ def test_ruleset_missing_key(tmp_path, capsys):
     assert code == 2 and "error" in err
 
 
+# the whole stderr of some refusals in test_cli_bad_input_exit_2
+_BAD_INPUT_MESSAGES = {
+    "compose --theory rb --left nope --right p_quasi_idem":
+        "error: theory rb has no rule 'nope'\n",
+    "model-eval --assign x=1 y": "error: no value assigned to the generator 'y'\n",
+}
+
 _BAD_RULESETS = {
     "array.json": [RULESET],
     "operators.json": dict(RULESET, operators=5),
@@ -609,6 +632,9 @@ _BAD_RULESETS = {
         # a negative step limit, on irreducible and on reducible input
         ["nf", "--step-limit", "-5", "x"],
         ["nf", "--step-limit", "-5", "d(p(x))"],
+        # names that are not there: a rule of the theory, a generator's value
+        ["compose", "--theory", "rb", "--left", "nope", "--right", "p_quasi_idem"],
+        ["model-eval", "--assign", "x=1", "y"],
     ],
     ids=" ".join,
 )
@@ -618,6 +644,10 @@ def test_cli_bad_input_exit_2(tmp_path, capsys, argv):
     code, out, err = _run(capsys, [a.format(tmp=tmp_path) for a in argv])
     assert code == 2 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
+    # a KeyError prints its message, not the repr of its key
+    expected = _BAD_INPUT_MESSAGES.get(" ".join(argv))
+    if expected is not None:
+        assert err == expected
 
 
 def test_module_entry_point_without_asserts():

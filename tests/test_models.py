@@ -20,7 +20,6 @@ from opalg.models import (
     TruncatedPoly,
     TruncatedPolyRing,
     WeightMismatch,
-    XiModel,
     check_axioms,
     constrained_series,
     evaluate_in_model,
@@ -297,7 +296,7 @@ def test_degenerate_axiom_suite_on_truncated_polys():
 
 
 def test_xi_axiom_suite():
-    model = XiModel(RING, W32)
+    model = DegenerateModel(RING, W32)
     report = check_axioms(model, samples=60, seed=11)
     report.pop("notes")
     assert report.pop("d_unit_zero") is False

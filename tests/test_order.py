@@ -1,8 +1,7 @@
 import random
 
-from opalg.order import EQUAL, GREATER, LESS, compare, compare_explain
 from opalg.sampling import random_word
-from opalg.terms import OP_D, OP_P, Context, Word
+from opalg.terms import EQUAL, GREATER, LESS, OP_D, OP_P, Context, Word, compare, compare_explain
 
 X = Word.letter("x")
 Y = Word.letter("y")

@@ -294,7 +294,10 @@ def test_rule_schema_copy_and_pickle():
     rng = random.Random(31)
     inputs = [random_polynomial(rng, 6, ("x", "y"), (OP_D, OP_P)) for _ in range(10)]
     for theory in PRESETS.values():
-        for rule in theory.rules:
+        for preset_rule in theory.rules:
+            # built here, not at import, so its words are the ones the word
+            # table holds now, however often earlier tests cleared it
+            rule = RuleSchema(preset_rule.name, preset_rule.variables, P(str(preset_rule.poly)))
             for c in (copy.copy(rule), copy.deepcopy(rule), pickle.loads(pickle.dumps(rule))):
                 assert c == rule and hash(c) == hash(rule)
                 assert (c.name, c.variables) == (rule.name, rule.variables)

@@ -1,6 +1,7 @@
 """Repository checks that guard the library source itself."""
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -77,6 +78,24 @@ def test_immutable_classes_define_reduce():
                 found.append(f"{path.name}:{cls.lineno} {cls.name}")
     assert immutable, "the scan found no immutable class"
     assert not found, f"immutable classes without __reduce__: {found}"
+
+
+def test_every_all_name_exists():
+    # a name left in __all__ after its definition is deleted breaks
+    # `from opalg.<module> import *`, which no other test does
+    paths = sorted(SRC.glob("*.py"))
+    assert paths, f"no sources under {SRC}"
+    missing = []
+    for path in paths:
+        module = importlib.import_module(
+            "opalg" if path.stem == "__init__" else f"opalg.{path.stem}"
+        )
+        missing.extend(
+            f"{path.stem}.{name}"
+            for name in getattr(module, "__all__", ())
+            if not hasattr(module, name)
+        )
+    assert not missing, f"names in __all__ that the module lacks: {missing}"
 
 
 # Installs the benchmark's tracer over the library, runs one call of each
