@@ -22,6 +22,7 @@ from .rewrite import (
     ideal_member,
     certificate_sum,
     StepLimitExceeded,
+    TermLimitExceeded,
     UnverifiedTheory,
     RuleValidationError,
 )

@@ -39,6 +39,7 @@ from .rewrite import (
     RuleSchema,
     RuleValidationError,
     StepLimitExceeded,
+    TermLimitExceeded,
     normal_form,
 )
 from .syntax import (
@@ -454,7 +455,7 @@ def main(argv=None):
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (StepLimitExceeded, BoundExceeded) as exc:
+    except (StepLimitExceeded, TermLimitExceeded, BoundExceeded) as exc:
         print(f"limit: {exc}", file=sys.stderr)
         return 3
     except RecursionError:

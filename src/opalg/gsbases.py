@@ -65,6 +65,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field, replace
 
 from .poly import OpPolynomial
@@ -106,7 +107,8 @@ class MonomialNotBelowAmbiguity(ValueError):
 class BoundExceeded(RuntimeError):
     """A word enumeration would hold more than WORD_CAP words, or words of
     total size more than SIZE_CAP; or a verification context family more
-    than WORD_CAP contexts."""
+    than WORD_CAP contexts, spines of total depth more than SIZE_CAP, or a
+    depth past the recursion limit."""
 
 
 @dataclass(frozen=True)
@@ -359,16 +361,30 @@ def _context_family(depth_bound, cofactor_bound, operators):
 
     With k operators and C cofactors there are k^d·(C+1)^(d+1) contexts of
     depth d, and none deeper than 0 without operators.  The family is
-    counted before it is built, and refused past WORD_CAP contexts.
+    counted before it is built, and refused past WORD_CAP contexts or past
+    SIZE_CAP in the summed depth of their spines, (d+1) for each context of
+    depth d.  A depth past the recursion limit is refused at once, since
+    words that deep can be neither built nor printed.
     """
+    if operators and depth_bound > sys.getrecursionlimit():
+        raise BoundExceeded(
+            f"contexts of depth {depth_bound} pass the recursion limit {sys.getrecursionlimit()}"
+        )
     depths = range(depth_bound + 1 if operators else 1)
-    total = 0
+    total = spines = 0
     for depth in depths:
-        total += len(operators) ** depth * (cofactor_bound + 1) ** (depth + 1)
+        count = len(operators) ** depth * (cofactor_bound + 1) ** (depth + 1)
+        total += count
+        spines += (depth + 1) * count
         if total > WORD_CAP:
             raise BoundExceeded(
                 f"more than {WORD_CAP} contexts of depth at most {depth_bound}"
                 f" and cofactor bound {cofactor_bound}"
+            )
+        if spines > SIZE_CAP:
+            raise BoundExceeded(
+                f"the contexts of depth at most {depth_bound} and cofactor bound"
+                f" {cofactor_bound} have spines of total depth more than {SIZE_CAP}"
             )
     out = []
     for depth in depths:

@@ -32,17 +32,23 @@ takes the product to the entrywise product, T(fg) = Tf * Tg (Guo & Keigher,
 "On differential Rota-Baxter algebras", JPAA 2008).  T is lower triangular
 with diagonal w^m, so it is invertible for w != 0, entry m of Tf reads only
 f(0), ..., f(m), so the reliable window is kept, and Tf = Tg on the first n
-entries exactly when f = g there.  Every operation is O(n) on a window of
-n: sums and scalings are entrywise because T is linear, a product is n
-carrier products, and the shifts follow from sigma = id + w*d:
+entries exactly when f = g there.  Sums and scalings are entrywise because
+T is linear, a product is entrywise, and the shifts follow from
+sigma = id + w*d:
 
     (T df)(m) = (Tf(m+1) - Tf(m)) / w
     (T Pf)(0) = -w Tf(0),   (T Pf)(m+1) = (T Pf)(m) + w Tf(m).
 
-The O(n^2) conversions (Pascal sums forward, Pascal differences back) run
-only in the constructor, which takes f, and in ``coeffs``, which returns
-it; the arithmetic is exact, so the values equal those of the defining sum
-entry for entry.
+A series stores only the head of Tf, up to its last entry that may be
+nonzero, next to the window length; the entries past the head are zero.
+Every operation is O(stored head): zero entries stay zero under sums,
+scalings and products, and d of a zero tail is zero.  P turns a zero tail
+into the constant T(Pf)(len(head)), which is zero for every constrained
+series; only P of a series whose constant is not zero fills out the whole
+window.  The O(n^2) conversions (Pascal sums forward, Pascal differences
+back) run only in the constructor, which takes f, and in ``coeffs``, which
+returns it; the arithmetic is exact, so the values equal those of the
+defining sum entry for entry.
 
 The constrained subalgebra consists of the sequences with
 f(n) = -(1/w) f(n-1), i.e. sigma(f) = 0: in sigma-coordinates they are
@@ -188,34 +194,40 @@ class TruncatedPolyRing:
 # ---------------------------------------------------------------------------
 
 class HurwitzSeries:
-    """A finite reliable window of a sequence over a base ring, stored as its
-    sigma-transform ``sigma`` (see the module docstring); ``coeffs`` gives
-    the sequence itself."""
+    """A finite reliable window of a sequence over a base ring, stored as the
+    ``head`` of its sigma-transform (see the module docstring): the entries
+    up to the last one that may be nonzero.  Every entry from ``len(head)``
+    up to ``window`` is zero.  ``sigma`` gives the whole transform and
+    ``coeffs`` the sequence itself."""
 
-    __slots__ = ("ring", "weight", "sigma")
+    __slots__ = ("ring", "weight", "head", "window")
 
     def __init__(self, ring, weight, coeffs):
         self.ring = ring
         self.weight = exact_weight(weight)
-        self.sigma = _to_sigma(coeffs, self.weight)
+        self.head = _to_sigma(coeffs, self.weight)
+        self.window = len(self.head)
 
     @classmethod
-    def _of(cls, ring, weight, sigma):
-        """A series from its sigma-transform, for an exact nonzero weight."""
+    def _of(cls, ring, weight, head, window):
+        """A series from the head of its sigma-transform, for an exact nonzero
+        weight and ``len(head) <= window``."""
         out = object.__new__(cls)
         out.ring = ring
         out.weight = weight
-        out.sigma = tuple(sigma)
+        out.head = tuple(head)
+        out.window = window
         return out
+
+    @property
+    def sigma(self):
+        """The sigma-transform on the whole window, the zero tail included."""
+        return self.head + (self.ring.zero(),) * (self.window - len(self.head))
 
     @property
     def coeffs(self):
         """The entries f(0), ..., f(n-1) of the window, converted on each read."""
         return _from_sigma(self.sigma, self.weight)
-
-    @property
-    def window(self):
-        return len(self.sigma)
 
     def _check(self, other):
         if self.weight != other.weight:
@@ -223,18 +235,22 @@ class HurwitzSeries:
 
     def __add__(self, other):
         self._check(other)
-        return self._of(
-            self.ring, self.weight, (a + b for a, b in zip(self.sigma, other.sigma))
-        )
+        a, b = self.head, other.head
+        if len(a) < len(b):
+            a, b = b, a
+        n = min(self.window, other.window)
+        # len(b) <= n: the shorter head lies within both windows
+        head = tuple(x + y for x, y in zip(a, b)) + a[len(b):n]
+        return self._of(self.ring, self.weight, head, n)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return self._of(self.ring, self.weight, (-a for a in self.sigma))
+        return self._of(self.ring, self.weight, (-a for a in self.head), self.window)
 
     def scale(self, k):
-        return self._of(self.ring, self.weight, (k * a for a in self.sigma))
+        return self._of(self.ring, self.weight, (k * a for a in self.head), self.window)
 
     __rmul__ = scale
 
@@ -246,23 +262,36 @@ class HurwitzSeries:
             return self.scale(other)
         self._check(other)
         return self._of(
-            self.ring, self.weight, (a * b for a, b in zip(self.sigma, other.sigma))
+            self.ring, self.weight, (a * b for a, b in zip(self.head, other.head)),
+            min(self.window, other.window),
         )
 
     def derive(self):
         """Left shift, (T f')(m) = (Tf(m+1) - Tf(m))/w; the reliable window
-        shrinks by one."""
-        s, inv = self.sigma, 1 / self.weight
-        return self._of(self.ring, self.weight, (inv * (b - a) for a, b in zip(s, s[1:])))
+        shrinks by one.  Past the head Tf is zero, so the last head entry
+        gives -Tf(m)/w unless the head fills the window."""
+        h, inv, n = self.head, 1 / self.weight, self.window - 1
+        head = [inv * (b - a) for a, b in zip(h, h[1:])]
+        if h and len(h) <= n:
+            head.append(inv * -h[-1])
+        return self._of(self.ring, self.weight, head, max(n, 0))
 
     def integrate(self):
         """Right shift seeded with -w*f(0): T(Pf)(0) = -w Tf(0) and
         T(Pf)(m+1) = T(Pf)(m) + w Tf(m).  The window grows by one entry, unless
-        it is empty: Pf(0) needs f(0)."""
-        w, s = self.weight, self.sigma
-        if not s:
+        it is empty: Pf(0) needs f(0).  Past the head every entry is the
+        constant S = T(Pf)(len(head)), which is dropped when zero (as for
+        every constrained series) and otherwise fills the window."""
+        w, h, n = self.weight, self.head, self.window
+        if not n:
             return self
-        return self._of(self.ring, w, accumulate((w * a for a in s), initial=-w * s[0]))
+        if not h:
+            return self._of(self.ring, w, (), n + 1)
+        head = list(accumulate((w * a for a in h), initial=-w * h[0]))
+        s = head.pop()
+        if s != self.ring.zero():
+            head.extend([s] * (n + 1 - len(h)))
+        return self._of(self.ring, w, head, n + 1)
 
     def agrees(self, other):
         """Equality on the common reliable window, which must not be empty."""
@@ -270,11 +299,15 @@ class HurwitzSeries:
         n = min(self.window, other.window)
         if n < 1:
             raise ValueError("the series share no reliable entry to compare")
-        return self.sigma[:n] == other.sigma[:n]
+        a, b = self.head[:n], other.head[:n]
+        if len(a) < len(b):
+            a, b = b, a
+        z = self.ring.zero()
+        return a[:len(b)] == b and all(c == z for c in a[len(b):])
 
     def is_zero(self):
         z = self.ring.zero()
-        return all(c == z for c in self.sigma)
+        return all(c == z for c in self.head)
 
     def __repr__(self):
         return f"HurwitzSeries(w={self.weight}, {list(self.coeffs)})"
@@ -314,7 +347,7 @@ def constrained_series(ring, weight, seed, window):
     if window < 1:
         raise ValueError("the window must hold at least one entry")
     seed = ring.coerce(seed) if isinstance(seed, (int, float, Fraction)) else seed
-    return HurwitzSeries._of(ring, w, (seed,) + (ring.zero(),) * (window - 1))
+    return HurwitzSeries._of(ring, w, (seed,), window)
 
 
 # ---------------------------------------------------------------------------
@@ -401,9 +434,7 @@ class HurwitzConstrainedModel(OperatorModel):
         raise NonunitalModel("the constrained sequence algebra has no unit")
 
     def zero(self):
-        return HurwitzSeries._of(
-            self.ring, self.weight, (self.ring.zero(),) * self.window
-        )
+        return HurwitzSeries._of(self.ring, self.weight, (), self.window)
 
     def d(self, a):
         return a.derive()

@@ -56,15 +56,22 @@ __all__ = [
     "ideal_member",
     "certificate_sum",
     "StepLimitExceeded",
+    "TermLimitExceeded",
     "UnverifiedTheory",
     "RuleValidationError",
 ]
 
 DEFAULT_STEP_LIMIT = 1_000_000
+# the most terms a polynomial may hold while it is reduced
+TERM_LIMIT = 50_000
 
 
 class StepLimitExceeded(RuntimeError):
     """Reduction hit the configured step cap."""
+
+
+class TermLimitExceeded(RuntimeError):
+    """Reduction grew the polynomial past TERM_LIMIT terms."""
 
 
 class UnverifiedTheory(RuntimeError):
@@ -479,8 +486,9 @@ def normal_form(
 
     Termination is guaranteed for order-compatible rules because each step
     strictly lowers the replaced word; the step cap is a defence against
-    rule sets that are not.  A step that adds a word not below its redex
-    raises ``RuleValidationError``.
+    rule sets that are not, and ``TERM_LIMIT`` against a polynomial that
+    outgrows memory before the steps run out.  A step that adds a word not
+    below its redex raises ``RuleValidationError``.
     """
     if strategy not in ("leading", "random"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -536,6 +544,8 @@ def normal_form(
             prev = terms.get(w)
             if prev is None:
                 terms[w] = x
+                if len(terms) > TERM_LIMIT:
+                    raise TermLimitExceeded(f"no normal form within {TERM_LIMIT} terms")
                 bisect.insort(open_, w, key=_key)
                 continue
             s = prev + x

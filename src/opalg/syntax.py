@@ -33,6 +33,10 @@ class ParseError(ValueError):
 # tokenizer / parser
 # ---------------------------------------------------------------------------
 
+# integers are ASCII digit runs; str.isdigit would also take "²" or "٣"
+_DIGITS = frozenset("0123456789")
+
+
 def _tokenize(text):
     tokens = []
     i, n = 0, len(text)
@@ -41,9 +45,9 @@ def _tokenize(text):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             tokens.append(("INT", text[i:j], i))
             i = j

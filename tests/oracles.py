@@ -10,7 +10,7 @@ stores.  The reference parser builds a whole polynomial for every atom and
 combines them with polynomial arithmetic rather than gathering each term's
 factors.  The test suite pins engine outputs against these.
 
-There are two exceptions, slow paths the engine replaced and kept as the
+There are three exceptions, slow paths the engine replaced and kept as the
 references the replacements must reproduce exactly.
 ``enumerate_irr_reference`` is the engine's own matcher run over every
 word, which the pruned enumerator replaced.  ``match_rule_reference``
@@ -18,6 +18,10 @@ walks every nesting level of a word, building each level's spine of
 sibling words, and matches the uncompiled pattern word into each level
 with its own level matcher, which the engine's compiled matcher replaced;
 the structural, memoised ``match_rule`` replaced the walk.
+``SigmaTupleSeries`` stores every entry of a Hurwitz series' sigma-transform
+on its window, zeros included, and applies the sigma formulas to each; the
+engine's ``HurwitzSeries`` replaced it by storing the head up to the last
+entry that may be nonzero.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import math
 from opalg import coeff
 from opalg.coeff import Scalar
 from opalg.gsbases import enumerate_words
-from opalg.models import HurwitzSeries
+from opalg.models import HurwitzSeries, WeightMismatch, _from_sigma, _to_sigma
 from opalg.poly import OpPolynomial
 from opalg.rewrite import Match, is_irreducible
 from opalg.syntax import DEFAULT_OPERATORS, ParseError, _tokenize
@@ -329,6 +333,75 @@ def hurwitz_integrate_reference(f):
     it is empty, since (Pf)(0) needs f(0)."""
     c = f.coeffs
     return HurwitzSeries(f.ring, f.weight, (-f.weight * c[0],) + c if c else ())
+
+
+# ---------------------------------------------------------------------------
+# Hurwitz series as the whole sigma tuple of the window
+# ---------------------------------------------------------------------------
+
+class SigmaTupleSeries:
+    """A Hurwitz series as the tuple of every sigma-transform entry on its
+    window, with each operation computed entry by entry over the window."""
+
+    def __init__(self, ring, weight, sigma):
+        self.ring, self.weight, self.sigma = ring, weight, tuple(sigma)
+
+    @classmethod
+    def from_coeffs(cls, ring, weight, coeffs):
+        return cls(ring, weight, _to_sigma(coeffs, weight))
+
+    @property
+    def window(self):
+        return len(self.sigma)
+
+    @property
+    def coeffs(self):
+        return _from_sigma(self.sigma, self.weight)
+
+    def _check(self, other):
+        if self.weight != other.weight:
+            raise WeightMismatch(f"weights {self.weight} and {other.weight}")
+
+    def _new(self, sigma):
+        return SigmaTupleSeries(self.ring, self.weight, sigma)
+
+    def __add__(self, other):
+        self._check(other)
+        return self._new(a + b for a, b in zip(self.sigma, other.sigma))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._new(-a for a in self.sigma)
+
+    def scale(self, k):
+        return self._new(k * a for a in self.sigma)
+
+    def __mul__(self, other):
+        self._check(other)
+        return self._new(a * b for a, b in zip(self.sigma, other.sigma))
+
+    def derive(self):
+        s, inv = self.sigma, 1 / self.weight
+        return self._new(inv * (b - a) for a, b in zip(s, s[1:]))
+
+    def integrate(self):
+        w, s = self.weight, self.sigma
+        if not s:
+            return self
+        return self._new(itertools.accumulate((w * a for a in s), initial=-w * s[0]))
+
+    def agrees(self, other):
+        self._check(other)
+        n = min(self.window, other.window)
+        if n < 1:
+            raise ValueError("the series share no reliable entry to compare")
+        return self.sigma[:n] == other.sigma[:n]
+
+    def is_zero(self):
+        z = self.ring.zero()
+        return all(c == z for c in self.sigma)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from opalg.cli import (
     parse_polynomial,
     parse_word,
 )
+from opalg import rewrite
 from opalg.coeff import Scalar
 from opalg.gsbases import PRESETS, broken_rb
 from opalg.poly import OpPolynomial
@@ -426,14 +427,21 @@ def test_cli_irr_over_the_total_size_exit_3(tmp_path, capsys):
         ["compose", "--theory", "rb", "--left", "p_quasi_idem", "--right", "p_quasi_idem",
          "--depth", "40"],
         ["verify", "--theory", "rb", "--depth", "30", "--cofactors", "3"],
+        # few contexts, but too deep to build: refused before any is built
+        ["compose", "--theory", "rb", "--left", "p_quasi_idem", "--right", "p_quasi_idem",
+         "--cofactors", "0", "--depth", "3000"],
+        ["compose", "--theory", "rb", "--left", "p_quasi_idem", "--right", "p_quasi_idem",
+         "--cofactors", "0", "--depth", "20000"],
     ],
     ids=" ".join,
 )
 def test_cli_context_family_over_the_word_cap_exit_3(capsys, argv):
     # sum over d <= D of k^d·(C+1)^(d+1) contexts: counted, never built
+    t0 = time.perf_counter()
     code, out, err = _run(capsys, argv)
     assert code == 3 and out == ""
     assert err.startswith("limit:") and "contexts" in err and "Traceback" not in err
+    assert time.perf_counter() - t0 < 5.0
 
 
 def test_cli_compose(capsys):
@@ -509,6 +517,16 @@ def test_cli_step_limit_exit_3(capsys):
         ["nf", "--theory", "rb", "--step-limit", "1", "p(x)*p(y)*p(x*y)"],
     )
     assert code == 3 and "limit" in err
+
+
+def test_cli_term_limit_exit_3(capsys, monkeypatch):
+    argv = ["nf", "--theory", "drb", "(x*d(y)+L*p(x))^3"]
+    code, out, _ = _run(capsys, argv)
+    assert code == 0 and len(parse_polynomial(out.strip())) == 11
+    monkeypatch.setattr(rewrite, "TERM_LIMIT", 10)
+    code, out, err = _run(capsys, argv)
+    assert code == 3 and out == ""
+    assert err == "limit: no normal form within 10 terms\n"
 
 
 def test_cli_deterministic_output(capsys):

@@ -251,6 +251,19 @@ def test_enumeration_refused_past_the_total_size():
     assert len(enumerate_words(7, ("x",), ())) == 8
 
 
+def test_context_family_refused_past_the_summed_spine_depth(monkeypatch):
+    # one operator and no cofactors: D + 1 contexts with (D+1)(D+2)/2 spine
+    # levels, so the spine bound refuses before the context count does
+    assert len(gsbases._context_family(300, 0, (OP_P,))) == 301
+    with pytest.raises(BoundExceeded, match="pass the recursion limit"):
+        gsbases._context_family(20_000, 0, (OP_P,))
+    monkeypatch.setattr(gsbases.sys, "getrecursionlimit", lambda: 10**6)
+    with pytest.raises(BoundExceeded, match=f"spines of total depth more than {SIZE_CAP}"):
+        gsbases._context_family(20_000, 0, (OP_P,))
+    # without operators every context has depth 0, whatever the bound
+    assert len(gsbases._context_family(20_000, 1, ())) == 2
+
+
 def test_duplicate_generators_count_once():
     assert count_irr(RB, 3, ["x", "x"]) == count_irr(RB, 3, ["x"])
     assert enumerate_words(2, ("y", "x", "y"), (OP_D,)) == enumerate_words(2, ("x", "y"), (OP_D,))

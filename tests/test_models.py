@@ -28,6 +28,7 @@ from opalg.models import unit_series
 from opalg.rewrite import normal_form
 from opalg.sampling import random_polynomial, random_word
 from oracles import (
+    SigmaTupleSeries,
     hurwitz_derive_reference,
     hurwitz_integrate_reference,
     hurwitz_product_reference,
@@ -150,25 +151,119 @@ def test_hurwitz_operations_match_coefficient_oracle(base, data, w, k):
         _assert_same_series(got, want, known)
 
 
+def _draw_series(data, ring, elements, w):
+    """A series and its whole-window sigma tuple: dense from coefficients,
+    constrained from a seed, or a head of any length up to the window, with
+    zero entries mixed in."""
+    kind = data.draw(st.sampled_from(("dense", "constrained", "head")))
+    if kind == "dense":
+        coeffs = data.draw(st.lists(elements, max_size=10))
+        return HurwitzSeries(ring, w, coeffs), SigmaTupleSeries.from_coeffs(ring, w, coeffs)
+    zero = ring.zero()
+    window = data.draw(st.integers(1 if kind == "constrained" else 0, 10))
+    if kind == "constrained":
+        head = (data.draw(elements),)
+        series = constrained_series(ring, w, head[0], window)
+    else:
+        head = tuple(data.draw(st.lists(st.one_of(st.just(zero), elements), max_size=window)))
+        # built directly: no public constructor takes a short head
+        series = HurwitzSeries._of(ring, w, head, window)
+    return series, SigmaTupleSeries(ring, w, head + (zero,) * (window - len(head)))
+
+
+def _assert_same_as_sigma_tuple(got, want, known):
+    # known holds (series, sigma-tuple oracle) pairs to compare with
+    assert len(got.head) <= got.window
+    assert got.window == want.window
+    assert got.sigma == want.sigma
+    assert got.coeffs == want.coeffs
+    assert got.is_zero() == want.is_zero()
+    for other, other_want in ((got, want), *known):
+        if min(want.window, other_want.window) < 1:
+            with pytest.raises(ValueError):
+                got.agrees(other)
+            with pytest.raises(ValueError):
+                other.agrees(got)
+        else:
+            assert got.agrees(other) == want.agrees(other_want)
+            assert other.agrees(got) == other_want.agrees(want)
+
+
+@pytest.mark.parametrize("base", _BASES)
+@given(data=st.data(), w=_WEIGHTS, k=_RATIONALS)
+def test_hurwitz_head_storage_matches_sigma_tuple_oracle(base, data, w, k):
+    ring, elements = _BASES[base]
+    (f, f0), (g, g0) = (_draw_series(data, ring, elements, w) for _ in range(2))
+    known = [(f, f0), (g, g0)]
+    for got, want, coeff_want in (
+        (f, f0, f),
+        (f + g, f0 + g0, hurwitz_sum_reference(f, g)),
+        (f - g, f0 - g0, hurwitz_sum_reference(f, hurwitz_scale_reference(g, -1))),
+        (-f, -f0, hurwitz_scale_reference(f, -1)),
+        (k * f, f0.scale(k), hurwitz_scale_reference(f, k)),
+        (f * k, f0.scale(k), hurwitz_scale_reference(f, k)),
+        (f * g, f0 * g0, hurwitz_product_reference(f, g)),
+    ):
+        _assert_same_as_sigma_tuple(got, want, known)
+        _assert_same_series(got, coeff_want, [(f, f.coeffs), (g, g.coeffs)])
+    for chain in _CHAINS:
+        got, want, coeff_want = f, f0, f
+        for name in reversed(chain):
+            engine, oracle = _SHIFTS[name]
+            got, want = engine(got), getattr(want, name)()
+            coeff_want = oracle(coeff_want)
+            _assert_same_as_sigma_tuple(got, want, known)
+            _assert_same_series(got, coeff_want, [(f, f.coeffs)])
+    # derive down to window 0, and once more there
+    got, want = f, f0
+    for _ in range(f.window + 1):
+        got, want = got.derive(), want.derive()
+        _assert_same_as_sigma_tuple(got, want, known)
+    assert got.window == 0
+
+
+def test_hurwitz_integrate_fills_a_nonzero_tail_constant():
+    # T(Pf) past the head is S = w*(h[1] + ... + h[-1]): zero for a
+    # constrained series, so its head stays at one entry; otherwise S fills
+    # the window, the one operation that touches every entry
+    f = HurwitzSeries._of(RING, W32, (Fraction(1), Fraction(2)), 5)
+    pf = f.integrate()
+    assert pf.window == 6 and len(pf.head) == 6
+    assert pf.sigma == SigmaTupleSeries(RING, W32, f.sigma).integrate().sigma
+    assert pf.sigma[2:] == (W32 * 2,) * 4
+    c = constrained_series(RING, W32, Fraction(5, 3), 8)
+    assert len(c.integrate().head) == 1 and c.integrate().window == 9
+    assert len(c.derive().head) == 1 and c.derive().window == 7
+    zero = HurwitzConstrainedModel(RING, W32, window=8).zero()
+    assert zero.head == () and zero.sigma == (0,) * 8
+
+
 class _Counted:
-    """A rational that counts the element-by-element products it takes part in."""
+    """A rational that counts the element-by-element products it takes part
+    in, and every carrier operation: ``+``, ``-`` (binary and unary) and
+    ``*`` (by an element or by a rational)."""
 
     products = 0
+    ops = 0
     __slots__ = ("value",)
 
     def __init__(self, value):
         self.value = Fraction(value)
 
     def __add__(self, other):
+        _Counted.ops += 1
         return _Counted(self.value + other.value)
 
     def __sub__(self, other):
+        _Counted.ops += 1
         return _Counted(self.value - other.value)
 
     def __neg__(self):
+        _Counted.ops += 1
         return _Counted(-self.value)
 
     def __mul__(self, other):
+        _Counted.ops += 1
         if isinstance(other, _Counted):
             _Counted.products += 1
             return _Counted(self.value * other.value)
@@ -183,6 +278,9 @@ class _Counted:
 class _CountedRing:
     def zero(self):
         return _Counted(0)
+
+    def sample(self, rng):
+        return _Counted(RING.sample(rng))
 
 
 def test_hurwitz_product_makes_one_carrier_product_per_entry():
@@ -200,6 +298,22 @@ def test_hurwitz_product_makes_one_carrier_product_per_entry():
         _Counted.products = 0
         assert fg.coeffs == hurwitz_product_reference(f, g).coeffs
         assert _Counted.products == n * (n + 1) * (n + 2) // 6
+
+
+# carrier operations of check_axioms(..., samples=20, seed=0) on the
+# constrained model; storing the whole sigma tuple of the window took
+# 15,480 at window 8 and 121,880 at window 64
+_AXIOM_CARRIER_OPS = 2_340
+
+
+@pytest.mark.parametrize("window", [8, 64])
+def test_constrained_axiom_suite_carrier_ops_do_not_grow_with_the_window(window):
+    # a constrained series keeps a one-entry head, so the work is O(support)
+    _Counted.ops = 0
+    report = check_axioms(HurwitzConstrainedModel(_CountedRing(), W32, window=window), 20, 0)
+    report.pop("notes")
+    assert all(report.values()), report
+    assert _Counted.ops == _AXIOM_CARRIER_OPS
 
 
 def test_model_arithmetic_makes_no_coordinate_conversion(monkeypatch):

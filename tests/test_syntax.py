@@ -63,6 +63,9 @@ def test_parse_cases_match_reference(text):
         ("d*x", "operator 'd' used as a letter (column 1)"),
         ("2*d(x", "expected ), found '' (column 6)"),
         ("x y", "unexpected 'y' (column 3)"),
+        # integers are ASCII digits only
+        ("x^²", "unexpected character '²' (column 3)"),
+        ("x^٣", "unexpected character '٣' (column 3)"),
     ],
 )
 def test_parse_errors_match_reference(text, message):
