@@ -76,7 +76,7 @@ from .rewrite import (
     find_occurrences,
     normal_form,
 )
-from .syntax import parse_polynomial
+from .syntax import SIZE_CAP, WORD_CAP, BoundExceeded, parse_polynomial
 from .terms import OP_D, OP_P, Context, Word
 
 __all__ = [
@@ -102,13 +102,6 @@ __all__ = [
 
 class MonomialNotBelowAmbiguity(ValueError):
     """A composition contained a monomial not strictly below its ambiguity."""
-
-
-class BoundExceeded(RuntimeError):
-    """A word enumeration would hold more than WORD_CAP words, or words of
-    total size more than SIZE_CAP; or a verification context family more
-    than WORD_CAP contexts, spines of total depth more than SIZE_CAP, or a
-    depth past the recursion limit."""
 
 
 @dataclass(frozen=True)
@@ -518,10 +511,6 @@ def verify_gs(theory, cfg=None):
 # ---------------------------------------------------------------------------
 # irreducible words
 # ---------------------------------------------------------------------------
-
-WORD_CAP = 1_000_000
-#: The bound on the sum of the sizes of the words an enumeration may hold.
-SIZE_CAP = 32 * WORD_CAP
 
 
 def _count_words(size_bound, n_generators, n_operators):

@@ -28,8 +28,9 @@ word's, so a word built around already-matched arguments costs one
 top-level match.  A match grown by one level takes its context key and
 binding key from the inner match rather than rebuilding them, and so does
 its reduct, the rule's right-hand side instantiated in the context: each
-word of the inner reduct is wrapped in the operator beside the sibling.
-A reduct is built on first use and kept with the match.
+word of the inner reduct is wrapped in the operator beside the sibling,
+built as one word.  A reduct is built on first use and kept with the
+match.
 """
 
 from __future__ import annotations
@@ -41,7 +42,14 @@ from operator import attrgetter
 
 from .poly import OpPolynomial
 from .sampling import random_word
-from .terms import Context, Word, _tuple_subtract, substitute_letters
+from .terms import (
+    Context,
+    Word,
+    _beside,
+    _substitute_beside,
+    _tuple_subtract,
+    substitute_letters,
+)
 
 __all__ = [
     "RuleSchema",
@@ -237,13 +245,14 @@ class Match:
             inner = self._inner
             if inner is None:
                 ctx, binding = self.context, self.binding
+                cofactor = ctx.cofactors[-1]
                 reduct = tuple(
-                    ctx.substitute(substitute_letters(w0, binding))
+                    ctx._fill(_substitute_beside(w0, binding, cofactor))
                     for w0 in self.rule.rhs.monomials()
                 )
             else:
                 sibling, op = self.context.cofactors[0], self.context.ops[0]
-                reduct = tuple(sibling * w.apply(op) for w in inner.reduct())
+                reduct = tuple(_beside(sibling, op, w) for w in inner.reduct())
             object.__setattr__(self, "_reduct", reduct)
         return reduct
 
@@ -494,7 +503,7 @@ def normal_form(
         raise ValueError(f"unknown strategy {strategy!r}")
     if step_limit < 0:
         raise ValueError("the step limit must not be negative")
-    rng = random.Random(seed) if strategy == "random" else None
+    rng = None  # the random strategy's generator, seeded on its first draw
     terms = dict(f.items())
     open_ = sorted(terms, key=_key)
     found = {}
@@ -527,6 +536,8 @@ def normal_form(
             open_ = reducible
             if not total:
                 break
+            if rng is None:
+                rng = random.Random(seed)
             r = rng.randrange(total)
             i = len(open_) - 1
             while r >= len(found[open_[i]]):

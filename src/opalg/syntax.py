@@ -8,9 +8,16 @@ power.  Example: ``(L^-1)*d(x*y) - 2*p(x)*p(y)``.
 The parser gathers each term's coefficient, letters and operator factors
 and builds one word and one coefficient per term; parenthesised sums are
 multiplied in last, and only the finished polynomial is an ``OpPolynomial``.
+
+Input size is bounded before anything is built: a term of more than
+``SIZE_CAP`` top-level factors, and a product of sums of more than
+``WORD_CAP`` term pairs, raise ``BoundExceeded``.  A power of a sum counts
+the pairs of every product of its repeated squaring beforehand.
 """
 
 from __future__ import annotations
+
+import math
 
 from .coeff import ONE, ZERO, Scalar
 from .poly import OpPolynomial, add_term
@@ -18,15 +25,33 @@ from .terms import OP_D, OP_P, OpApp, Word
 
 __all__ = [
     "ParseError", "parse_polynomial", "parse_word", "format_polynomial", "is_letter_name",
+    "BoundExceeded", "WORD_CAP", "SIZE_CAP",
 ]
 
 DEFAULT_OPERATORS = (OP_D, OP_P)
+
+#: The most words an enumeration may hold, contexts a verification family
+#: may hold, and term pairs one product of parsed sums may multiply.
+WORD_CAP = 1_000_000
+#: The bound on the sum of the sizes of the words an enumeration may hold,
+#: on the summed depth of a context family's spines, and on the top-level
+#: factors of one parsed term.
+SIZE_CAP = 32 * WORD_CAP
 
 
 class ParseError(ValueError):
     def __init__(self, message, position):
         super().__init__(f"{message} (column {position + 1})")
         self.position = position
+
+
+class BoundExceeded(RuntimeError):
+    """A word enumeration would hold more than WORD_CAP words, or words of
+    total size more than SIZE_CAP; or a verification context family more
+    than WORD_CAP contexts, spines of total depth more than SIZE_CAP, or a
+    depth past the recursion limit; or a parsed term more than SIZE_CAP
+    top-level factors, or a product of parsed sums more than WORD_CAP term
+    pairs."""
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +141,7 @@ class _Parser:
                 sums.append(factor)
             else:
                 c, more_letters, more_ops = factor
+                _check_factors(len(letters) + len(ops) + len(more_letters) + len(more_ops))
                 if c is not ONE:
                     coef = c if coef is None else coef * c
                 letters.extend(more_letters)
@@ -158,7 +184,9 @@ class _Parser:
             raise ParseError("negative power of a non-scalar", caret[2])
         if type(base) is not dict:
             c, letters, ops = base
+            _check_factors((len(letters) + len(ops)) * exp)
             return (c**exp, letters * exp, ops * exp)
+        _check_pairs(_squaring_pairs(len(base), exp))
         acc = {_UNIT: ONE}
         while exp:  # repeated squaring, from the low bit up
             if exp & 1:
@@ -222,8 +250,39 @@ def _as_scalar(factor):
     return None if letters or ops else c
 
 
+def _check_factors(n):
+    if n > SIZE_CAP:
+        raise BoundExceeded(f"a term of {n} top-level factors, more than {SIZE_CAP}")
+
+
+def _check_pairs(n):
+    if n > WORD_CAP:
+        raise BoundExceeded(f"a product of {n} term pairs, more than {WORD_CAP}")
+
+
+def _squaring_pairs(t, exp):
+    """The most term pairs one product of ``_Parser.power``'s repeated
+    squaring multiplies, for a sum of t terms to the power exp.  The k-th
+    power is counted as C(k + t - 1, t - 1) terms, as if every product of
+    k of the t terms were a distinct word; for two terms they are."""
+    def count(k):
+        return math.comb(k + t - 1, t - 1)
+
+    most, acc, base = 0, 0, 1
+    while exp:
+        if exp & 1:
+            most = max(most, count(acc) * count(base))
+            acc += base
+        exp >>= 1
+        if exp:
+            most = max(most, count(base) ** 2)
+            base *= 2
+    return most
+
+
 def _mul(a, b):
     """The product of two term dicts, as a new dict."""
+    _check_pairs(len(a) * len(b))
     out = {}
     for w1, c1 in a.items():
         for w2, c2 in b.items():

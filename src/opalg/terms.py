@@ -14,9 +14,16 @@ Canonical form
     Words and operator applications are hash-consed: constructing one looks
     its factors up in a module table as given and returns the stored object
     if there is one, so there is one object per distinct word and the key,
-    degrees and hash are built once.  Only on a miss are the factors sorted
-    and looked up again; the table's keys are sorted, so an unsorted pair
-    never finds a wrong entry, and most callers pass sorted factors already.
+    degrees and hash are built once.  Only on a miss is a factor tuple of
+    more than one entry sorted, and the word looked up again if the sort
+    moved anything; the table's keys are sorted, so an unsorted pair never
+    finds a wrong entry, and most callers pass sorted factors already.  A
+    miss then builds the degrees, the key and the hash in one pass over the
+    operator factors.  A rewrite builds each word it needs straight into its
+    context, with no intermediate word: a rule instance's top-level factors
+    go in beside the hole's cofactor (``_substitute_beside``), and each
+    level above is the level's cofactor and one new operator factor
+    (``_beside``), never the singleton word op(w) times the cofactor.
     Equality tests identity first and falls back to comparing keys.  Hashes
     are structural, never a memory address, so set and dict orders do not
     depend on the table; each is built from the children's cached hashes
@@ -39,8 +46,10 @@ precomputed ``key`` with one entry per tier, so Python tuple comparison on
 :func:`compare_explain` are its public surface.
 
 A :class:`Context` is a word with exactly one hole; substitution replaces
-the hole by a word and merges its factors into the surrounding level.  All
-values here are immutable and safe to share.
+the hole by a word and merges its factors into the surrounding level.
+Matches compare contexts by key, so a context's hash is built on its first
+``hash()``, not with the context.  All values here are immutable and safe
+to share.
 """
 
 from __future__ import annotations
@@ -161,28 +170,39 @@ class Word:
         word = _TABLE.get(ident)
         if word is not None:
             return word
-        letters = tuple(sorted(ident[0], reverse=True))
-        ops = tuple(sorted(ident[1], key=_factor_key, reverse=True))
-        ident = (letters, ops)
-        word = _TABLE.get(ident)
-        if word is not None:
-            return word
+        letters, ops = ident
+        if len(letters) > 1:
+            letters = tuple(sorted(letters, reverse=True))
+        if len(ops) > 1:
+            ops = tuple(sorted(ops, key=_factor_key, reverse=True))
+        if letters != ident[0] or ops != ident[1]:
+            ident = (letters, ops)
+            word = _TABLE.get(ident)
+            if word is not None:
+                return word
+        op_degree = 0
+        letter_degree = len(letters)
+        tiers = []
+        args = []
+        hashes = [letters]
+        for f in ops:
+            op, arg = f.op, f.arg
+            op_degree += 1 + arg.op_degree
+            letter_degree += arg.letter_degree
+            tiers.append((op.rank, op.name))
+            args.append(arg.key)
+            hashes.append(f._hash)
         word = object.__new__(cls)
-        op_degree = sum(1 + f.arg.op_degree for f in ops)
-        letter_degree = len(letters) + sum(f.arg.letter_degree for f in ops)
-        key = (
-            op_degree,
-            len(ops),
-            tuple((f.op.rank, f.op.name) for f in ops),
-            tuple(f.arg.key for f in ops),
-            (len(letters), letters),
-        )
         object.__setattr__(word, "letters", letters)
         object.__setattr__(word, "ops", ops)
         object.__setattr__(word, "op_degree", op_degree)
         object.__setattr__(word, "letter_degree", letter_degree)
-        object.__setattr__(word, "key", key)
-        object.__setattr__(word, "_hash", hash((letters,) + tuple(f._hash for f in ops)))
+        object.__setattr__(
+            word,
+            "key",
+            (op_degree, len(ops), tuple(tiers), tuple(args), (len(letters), letters)),
+        )
+        object.__setattr__(word, "_hash", hash(tuple(hashes)))
         _intern(ident, word)
         return word
 
@@ -344,7 +364,7 @@ class Context:
         object.__setattr__(self, "cofactors", cofactors)
         object.__setattr__(self, "ops", ops)
         object.__setattr__(self, "key", key)
-        object.__setattr__(self, "_hash", hash((key[0],) + tuple(c._hash for c in cofactors)))
+        object.__setattr__(self, "_hash", None)
 
     def wrap(self, sibling, op):
         """This context one level down: op(self) beside the word sibling.
@@ -385,9 +405,14 @@ class Context:
 
     def substitute(self, word):
         """Replace the hole by ``word``, merging factors level by level."""
-        w = self.cofactors[-1] * word
-        for i in range(len(self.ops) - 1, -1, -1):
-            w = self.cofactors[i] * w.apply(self.ops[i])
+        return self._fill(self.cofactors[-1] * word)
+
+    def _fill(self, w):
+        """The word with w at the hole's level, w already holding the
+        hole's cofactor: each level up is built as one word."""
+        cofactors, ops = self.cofactors, self.ops
+        for i in range(len(ops) - 1, -1, -1):
+            w = _beside(cofactors[i], ops[i], w)
         return w
 
     def compose(self, inner):
@@ -403,7 +428,11 @@ class Context:
         return isinstance(other, Context) and self.key == other.key
 
     def __hash__(self):
-        return self._hash
+        h = self._hash
+        if h is None:
+            h = hash((self.key[0],) + tuple(c._hash for c in self.cofactors))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __repr__(self):
         return f"Context({self})"
@@ -455,6 +484,23 @@ def substitute_letters(word, mapping):
     """
     letters = []
     ops = []
+    if not _substitute_into(word, mapping, letters, ops):
+        return word
+    return Word(letters, ops)
+
+
+def _substitute_beside(word, mapping, cofactor):
+    """``cofactor * substitute_letters(word, mapping)``, built as one word:
+    the substituted top-level factors go straight in beside the cofactor's."""
+    letters = list(cofactor.letters)
+    ops = list(cofactor.ops)
+    _substitute_into(word, mapping, letters, ops)
+    return Word(letters, ops)
+
+
+def _substitute_into(word, mapping, letters, ops):
+    """Append the top-level factors of word, letters substituted, to the
+    lists letters and ops; whether any letter under word was mapped."""
     changed = False
     for name in word.letters:
         repl = mapping.get(name)
@@ -470,6 +516,9 @@ def substitute_letters(word, mapping):
             changed = True
             f = OpApp(f.op, arg)
         ops.append(f)
-    if not changed:
-        return word
-    return Word(letters, ops)
+    return changed
+
+
+def _beside(cofactor, op, word):
+    """The word ``cofactor * op(word)``, built without the word op(word)."""
+    return Word(cofactor.letters, cofactor.ops + (OpApp(op, word),))

@@ -10,7 +10,7 @@ stores.  The reference parser builds a whole polynomial for every atom and
 combines them with polynomial arithmetic rather than gathering each term's
 factors.  The test suite pins engine outputs against these.
 
-There are three exceptions, slow paths the engine replaced and kept as the
+There are four exceptions, slow paths the engine replaced and kept as the
 references the replacements must reproduce exactly.
 ``enumerate_irr_reference`` is the engine's own matcher run over every
 word, which the pruned enumerator replaced.  ``match_rule_reference``
@@ -21,7 +21,12 @@ the structural, memoised ``match_rule`` replaced the walk.
 ``SigmaTupleSeries`` stores every entry of a Hurwitz series' sigma-transform
 on its window, zeros included, and applies the sigma formulas to each; the
 engine's ``HurwitzSeries`` replaced it by storing the head up to the last
-entry that may be nonzero.
+entry that may be nonzero.  ``word_fields_reference`` computes a word's
+key, hash and degrees in one generator pass each, and
+``reduct_reference`` and ``substitute_reference`` build a rewrite's words
+through the rule instance and the singleton word op(w) at every level; the
+engine replaced them by one loop per word and by building each word
+straight into its context.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from opalg.models import HurwitzSeries, WeightMismatch, _from_sigma, _to_sigma
 from opalg.poly import OpPolynomial
 from opalg.rewrite import Match, is_irreducible
 from opalg.syntax import DEFAULT_OPERATORS, ParseError, _tokenize
-from opalg.terms import OP_D, OP_P, Context, Word, _tuple_subtract
+from opalg.terms import OP_D, OP_P, Context, Word, _tuple_subtract, substitute_letters
 
 
 # ---------------------------------------------------------------------------
@@ -526,3 +531,41 @@ def _poly_scalar(poly):
     if len(terms) == 1 and terms[0][0].is_unit():
         return terms[0][1]
     return None
+
+
+# ---------------------------------------------------------------------------
+# words built pass by pass, through intermediate words
+# ---------------------------------------------------------------------------
+
+def word_fields_reference(letters, ops):
+    """(key, hash, op_degree, letter_degree) of the word with these factors,
+    each from its own generator pass over the sorted factors."""
+    letters = tuple(sorted(letters, reverse=True))
+    ops = tuple(sorted(ops, key=lambda f: f.key, reverse=True))
+    op_degree = sum(1 + f.arg.op_degree for f in ops)
+    letter_degree = len(letters) + sum(f.arg.letter_degree for f in ops)
+    key = (
+        op_degree,
+        len(ops),
+        tuple((f.op.rank, f.op.name) for f in ops),
+        tuple(f.arg.key for f in ops),
+        (len(letters), letters),
+    )
+    return key, hash((letters,) + tuple(f._hash for f in ops)), op_degree, letter_degree
+
+
+def substitute_reference(context, word):
+    """``Context.substitute`` through the word op(w) at every level."""
+    w = context.cofactors[-1] * word
+    for i in range(len(context.ops) - 1, -1, -1):
+        w = context.cofactors[i] * w.apply(context.ops[i])
+    return w
+
+
+def reduct_reference(match):
+    """``Match.reduct`` through the rule instance: each right-hand word
+    with the binding substituted, then put in the context."""
+    return tuple(
+        substitute_reference(match.context, substitute_letters(w0, match.binding))
+        for w0 in match.rule.rhs.monomials()
+    )

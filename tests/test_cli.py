@@ -444,6 +444,24 @@ def test_cli_context_family_over_the_word_cap_exit_3(capsys, argv):
     assert time.perf_counter() - t0 < 5.0
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # a word power past SIZE_CAP top-level factors, refused before the
+        # letter tuple is built
+        ("x^99999999999", "top-level factors"),
+        # a power of a sum whose repeated squaring passes WORD_CAP term pairs
+        ("(x+y)^100000", "term pairs"),
+    ],
+)
+def test_cli_parse_over_the_caps_exit_3(capsys, text, message):
+    t0 = time.perf_counter()
+    code, out, err = _run(capsys, ["nf", "--theory", "rb", text])
+    assert code == 3 and out == ""
+    assert err.startswith("limit:") and message in err and "Traceback" not in err
+    assert time.perf_counter() - t0 < 5.0
+
+
 def test_cli_compose(capsys):
     code, out, _ = _run(
         capsys,

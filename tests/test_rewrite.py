@@ -6,12 +6,13 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from opalg import coeff, rewrite
+from opalg import coeff, rewrite, terms
 from opalg.coeff import Scalar
 from opalg.cli import parse_polynomial as P
 from opalg.gsbases import PRESETS, VerifyConfig, broken_rb, preset, verify_gs
 from opalg.poly import OpPolynomial
 from opalg.rewrite import (
+    Match,
     RuleSchema,
     RuleValidationError,
     StepLimitExceeded,
@@ -26,7 +27,12 @@ from opalg.rewrite import (
 )
 from opalg.sampling import random_polynomial, random_word
 from opalg.terms import OP_D, OP_P, Context, OpApp, Word, substitute_letters
-from oracles import match_rule_reference, oracle_occurrences
+from oracles import (
+    match_rule_reference,
+    oracle_occurrences,
+    reduct_reference,
+    substitute_reference,
+)
 
 D_THEORY = preset("d")
 RB_THEORY = preset("rb")
@@ -174,6 +180,25 @@ def test_random_strategy_terminates_and_agrees_on_rb():
         for seed in (0, 1):
             b = normal_form(f, RB_THEORY.rules, strategy="random", seed=seed).poly
             assert a == b
+
+
+def test_random_strategy_seeds_its_generator_on_the_first_draw(monkeypatch):
+    f = P("p(x)*p(y*y)*p(z) + 2*p(p(x))")
+    expected = normal_form(f, RB_THEORY.rules, strategy="random", seed=5, collect_steps=True)
+    made = []
+
+    class Counting(random.Random):
+        def __init__(self, seed):
+            made.append(seed)
+            super().__init__(seed)
+
+    monkeypatch.setattr(rewrite.random, "Random", Counting)
+    irreducible = P("p(x*p(y)) + x")
+    assert normal_form(irreducible, RB_THEORY.rules, strategy="random", seed=5).poly == irreducible
+    assert made == []
+    res = normal_form(f, RB_THEORY.rules, strategy="random", seed=5, collect_steps=True)
+    assert made == [5]
+    assert res.poly == expected.poly and _step_keys(res.steps) == _step_keys(expected.steps)
 
 
 def test_rule_validation_rejects_nonmonic():
@@ -381,6 +406,75 @@ def test_match_copy_and_pickle():
                     assert (c.rule, c.context, c.binding) == (mt.rule, mt.context, mt.binding)
                 checked += 1
     assert checked > 100
+
+
+def _random_context(rng, letters, operators):
+    depth = rng.randint(0, 2)
+    cofactors = [random_word(rng, 3, letters, operators) for _ in range(depth + 1)]
+    return Context(cofactors, [rng.choice(operators) for _ in range(depth)])
+
+
+def test_reducts_built_in_their_context_match_the_instance_path(monkeypatch):
+    # a table of its own that is never cleared, so every word built below
+    # stays the table's object
+    monkeypatch.setattr(terms, "_TABLE", dict(terms._TABLE))
+    monkeypatch.setattr(terms, "_TABLE_LIMIT", 10**9)
+    rng = random.Random(58)
+    letters, operators = ("x", "y"), (OP_D, OP_P)
+    for rule in _RULES:
+        for _ in range(20):
+            binding = {
+                v: random_word(rng, rng.choice((0, 1, 3)), letters, operators)
+                for v in rule.variables
+            }
+            match = Match(rule, _random_context(rng, letters, operators), binding)
+            sibling = random_word(rng, 2, letters, operators)
+            wrapped = match.wrap(sibling, rng.choice(operators))
+            for mt in (match, wrapped, wrapped.wrap(sibling, rng.choice(operators))):
+                reduct = mt.reduct()
+                assert reduct == reduct_reference(mt), rule.name
+                assert all(terms._TABLE[(w.letters, w.ops)] is w for w in reduct)
+                w = random_word(rng, 3, letters, operators)
+                built = mt.context.substitute(w)
+                assert built == substitute_reference(mt.context, w)
+                assert terms._TABLE[(built.letters, built.ops)] is built
+
+
+def test_rewrite_word_counts(monkeypatch):
+    # built through rule-instance words and singleton words op(w), the same
+    # reductions took 4,401 and 4,825 interned entries and 5,319 and 8,147
+    # Word(...) calls; a table and match cache of their own, never cleared,
+    # so test order cannot move the counts, and fresh letters, so every
+    # word is new
+    monkeypatch.setattr(terms, "_TABLE", dict(terms._TABLE))
+    monkeypatch.setattr(terms, "_TABLE_LIMIT", 10**9)
+    monkeypatch.setattr(rewrite, "_MATCH_CACHE", {})
+    interned = []
+    built = []
+    intern, init = terms._intern, Word.__init__
+
+    def counting_intern(ident, value):
+        interned.append(ident)
+        intern(ident, value)
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    counts = []
+    for theory, text in [
+        (RB_THEORY, "p(q1*q1)*p(q2)*p(q3*q3)*p(q4)*p(q5)"),
+        (D_THEORY, "*".join(f"d(r{i})" for i in range(9))),
+    ]:
+        f = P(text)
+        interned.clear()
+        built.clear()
+        with monkeypatch.context() as m:
+            m.setattr(terms, "_intern", counting_intern)
+            m.setattr(Word, "__init__", counting_init)
+            res = normal_form(f, theory.rules)
+        counts.append((len(res.poly), len(interned), len(built)))
+    assert counts == [(541, 3735, 4170), (511, 3577, 6644)]
 
 
 def _count_level_matches(monkeypatch):

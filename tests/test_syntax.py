@@ -5,10 +5,16 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from opalg import coeff, poly, terms
+from opalg import coeff, poly, syntax, terms
 from opalg.gsbases import preset
 from opalg.sampling import random_polynomial
-from opalg.syntax import ParseError, format_polynomial, parse_polynomial
+from opalg.syntax import (
+    WORD_CAP,
+    BoundExceeded,
+    ParseError,
+    format_polynomial,
+    parse_polynomial,
+)
 
 from oracles import parse_polynomial_reference
 
@@ -151,3 +157,40 @@ def test_parse_counts_on_nf_batch_corpus(monkeypatch):
     assert len(texts) == 2400
     assert counts == {"polynomials": 2400, "scalar_muls": 2144, "words": 7684}
 
+
+def test_term_factors_past_the_size_cap_are_refused_before_building(monkeypatch):
+    monkeypatch.setattr(syntax, "SIZE_CAP", 100)
+    assert len(parse_polynomial("x^50*p(y)^50").leading_word().ops) == 50
+    for text in ("x^101", "p(x)^101", "x^51*p(y)^50", "(x^2*y)^34", "2*(x^60*x^41)"):
+        with pytest.raises(BoundExceeded, match="more than 100$"):
+            parse_polynomial(text)
+
+
+def test_squaring_pairs_are_the_largest_product_of_a_sum_power(monkeypatch):
+    # exact for two terms, and at least the largest product for more
+    most = []
+    mul = syntax._mul
+
+    def counting(a, b):
+        most[-1] = max(most[-1], len(a) * len(b))
+        return mul(a, b)
+
+    monkeypatch.setattr(syntax, "_mul", counting)
+    for base, t in (("x+y", 2), ("x*p(y) - L*y", 2), ("x+y+z", 3), ("x+x*y+x*y^2", 3)):
+        for exp in range(1, 25):
+            most.append(0)
+            parse_polynomial(f"({base})^{exp}")
+            predicted = syntax._squaring_pairs(t, exp)
+            assert predicted == most[-1] if t == 2 else predicted >= most[-1], (base, exp)
+    # the largest power of a binomial the cap lets through, at both ends
+    assert syntax._squaring_pairs(2, 600) == 66049 <= WORD_CAP
+    assert syntax._squaring_pairs(2, 100_000) > WORD_CAP
+
+
+def test_products_of_sums_past_the_pair_cap_are_refused(monkeypatch):
+    monkeypatch.setattr(syntax, "WORD_CAP", 12)
+    assert len(parse_polynomial("(a+b+c)*(x+y+z+w)")) == 12
+    for text in ("(a+b+c)*(x+y+z+w+v)", "(x+y)^7", "(a+b+c+e)*(x+y+z+w)*(u+v)"):
+        with pytest.raises(BoundExceeded, match="term pairs, more than 12$"):
+            parse_polynomial(text)
+    assert len(parse_polynomial("(x+y)^4")) == 5

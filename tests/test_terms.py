@@ -20,7 +20,7 @@ from opalg.terms import (
 )
 from opalg.sampling import random_polynomial, random_word
 
-from oracles import oracle_occurrences
+from oracles import oracle_occurrences, substitute_reference, word_fields_reference
 
 X = Word.letter("x")
 Y = Word.letter("y")
@@ -127,6 +127,27 @@ def test_context_wrap_is_the_context_one_level_down():
         built = Context((s,) + ctx.cofactors, (op,) + ctx.ops)
         assert wrapped == built and wrapped.key == built.key and hash(wrapped) == hash(built)
         assert wrapped.substitute(X) == s * ctx.substitute(X).apply(op)
+
+
+def test_context_hash_is_built_on_first_use():
+    rng = random.Random(9)
+    for _ in range(50):
+        ctx = _random_context(rng)
+        for c in (ctx, ctx.wrap(random_word(rng, 3, ("a", "b"), (OP_D, OP_P)), OP_P)):
+            assert c._hash is None
+            h = hash(c)
+            assert h == hash((c.key[0],) + tuple(w._hash for w in c.cofactors))
+            assert c._hash == h == hash(c)
+
+
+def test_context_substitute_builds_each_level_as_one_word():
+    rng = random.Random(10)
+    for _ in range(200):
+        ctx = _random_context(rng)
+        w = random_word(rng, 4, ("a", "b"), (OP_D, OP_P))
+        built = ctx.substitute(w)
+        assert terms._TABLE.get((built.letters, built.ops)) is built
+        assert built == substitute_reference(ctx, w)
 
 
 def test_context_requires_single_hole_shape():
@@ -268,6 +289,38 @@ def test_rebuilding_interned_words_sorts_nothing(monkeypatch):
     calls.clear()
     assert Word(w.letters[::-1], w.ops[::-1]) is w
     assert calls == [w.letters[::-1], w.ops[::-1]]
+
+
+def test_one_pass_build_matches_the_reference_formulas(monkeypatch):
+    rng = random.Random(46)
+    corpus = []
+    for _ in range(150):
+        _subwords(random_word(rng, 8, ("x", "y", "z"), (OP_D, OP_P)), corpus)
+    # a fresh table, so the first rebuild of each word is a miss
+    monkeypatch.setattr(terms, "_TABLE", {((), ()): Word.unit()})
+    misses = 0
+    for w in corpus:
+        letters, ops = list(w.letters), list(w.ops)
+        rng.shuffle(letters)
+        rng.shuffle(ops)
+        size = len(terms._TABLE)
+        built = Word(letters, ops)
+        misses += len(terms._TABLE) - size
+        assert (built.key, built._hash, built.op_degree, built.letter_degree) == (
+            word_fields_reference(letters, ops)
+        )
+        assert built == w and Word(w.letters, w.ops) is built
+    assert misses == len(set(corpus) - {Word.unit()})
+    # a one-entry factor tuple is never sorted
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return sorted(*args, **kwargs)
+
+    monkeypatch.setattr(terms, "sorted", counting, raising=False)
+    assert Word(("fresh_x",), (OpApp(OP_D, Word.letter("fresh_y")),)).breadth == 2
+    assert calls == []
 
 
 def test_parsed_and_enumerated_words_are_interned():
