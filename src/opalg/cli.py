@@ -45,6 +45,7 @@ from .rewrite import (
 from .syntax import (
     ParseError,
     format_polynomial,
+    format_scalar,
     is_letter_name,
     parse_polynomial,
     parse_word,
@@ -137,7 +138,7 @@ def _step_json(step, before, after):
         "context": str(step.context),
         "binding": {v: str(w) for v, w in sorted(step.binding.items())},
         "redex": str(step.redex),
-        "coefficient": str(step.coefficient),
+        "coefficient": format_scalar(step.coefficient),
         "before": format_polynomial(before),
         "after": format_polynomial(after),
     }
@@ -211,9 +212,12 @@ def _cmd_nf(args):
         }
         print(json.dumps(payload, indent=2))
     else:
-        print(format_polynomial(nf))
+        # everything is formatted before anything is printed, so a refused
+        # coefficient leaves no partial output
+        out = [format_polynomial(nf)]
         if args.trace:
-            print(json.dumps(_steps_json(f, res.steps), indent=2))
+            out.append(json.dumps(_steps_json(f, res.steps), indent=2))
+        print("\n".join(out))
     return 0
 
 
@@ -348,9 +352,9 @@ def _cmd_model_eval(args):
                 f"no reliable entry is left of the --trunc {args.trunc} window "
                 "(each d shifts one out); use a larger --trunc"
             )
-        print(json.dumps([str(c) for c in value.coeffs]))
+        print(json.dumps([format_scalar(c) for c in value.coeffs]))
     else:
-        print(value)
+        print(format_scalar(value))
     return 0
 
 

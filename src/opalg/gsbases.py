@@ -141,15 +141,16 @@ _RULES = {
 _D_RULES = ("d_leibniz", "d_quasi_idem")
 _DRB_RULES = _D_RULES + ("p_rota_baxter", "p_quasi_idem", "d_after_p")
 
-# preset name -> (rule names in the order the leading strategy tries them, operators)
+# preset name -> (rule names in the order the leading strategy tries them,
+# operators, whether verify_gs passes it at VerifyConfig(1, 1, True))
 _THEORIES = {
-    "d": (_D_RULES, (OP_D,)),
-    "rb": (("p_rota_baxter", "p_quasi_idem"), (OP_P,)),
-    "drb": (_DRB_RULES, (OP_D, OP_P)),
-    "d+d1": (_D_RULES + ("d_unit",), (OP_D,)),
-    "d-gs": (_D_RULES + ("d_absorb",), (OP_D,)),
-    "drb-gs": (_DRB_RULES + ("d_collapse", "p_collapse"), (OP_D, OP_P)),
-    "rb-broken": (("p_rota_baxter_broken", "p_quasi_idem"), (OP_P,)),
+    "d": (_D_RULES, (OP_D,), False),
+    "rb": (("p_rota_baxter", "p_quasi_idem"), (OP_P,), True),
+    "drb": (_DRB_RULES, (OP_D, OP_P), False),
+    "d+d1": (_D_RULES + ("d_unit",), (OP_D,), False),
+    "d-gs": (_D_RULES + ("d_absorb",), (OP_D,), True),
+    "drb-gs": (_DRB_RULES + ("d_collapse", "p_collapse"), (OP_D, OP_P), True),
+    "rb-broken": (("p_rota_baxter_broken", "p_quasi_idem"), (OP_P,), False),
 }
 
 
@@ -160,8 +161,8 @@ def _build_presets():
         for name, (variables, text) in _RULES.items()
     }
     return {
-        name: TheoryPreset(name, tuple(rules[r] for r in names), operators)
-        for name, (names, operators) in _THEORIES.items()
+        name: TheoryPreset(name, tuple(rules[r] for r in names), operators, verified)
+        for name, (names, operators, verified) in _THEORIES.items()
     }
 
 

@@ -23,14 +23,16 @@ a bare variable alone binds the argument word itself.
 The levels are walked by structure: the matches in a word are those at its
 top level, plus, for each distinct operator factor f, the matches in f's
 argument with the context grown by one level (the operator, and the word
-without f as the sibling).  The argument's matches are memoised like the
-word's, so a word built around already-matched arguments costs one
-top-level match.  A match grown by one level takes its context key and
-binding key from the inner match rather than rebuilding them, and so does
-its reduct, the rule's right-hand side instantiated in the context: each
-word of the inner reduct is wrapped in the operator beside the sibling,
-built as one word.  A reduct is built on first use and kept with the
-match.
+without f as the sibling).  Each word keeps its own matches, one list per
+rule, in its memo slot (``Word._memo``), and its arguments are words too,
+so a word built around already-matched arguments costs one top-level
+match.  The memos live and die with the word table of ``opalg.terms``:
+its bound is theirs, and its clear drops them.  A match grown by one
+level takes its context key and binding key from the inner match rather
+than rebuilding them, and so does its reduct, the rule's right-hand side
+instantiated in the context: each word of the inner reduct is wrapped in
+the operator beside the sibling, built as one word.  A reduct is built on
+first use and kept with the match.
 """
 
 from __future__ import annotations
@@ -397,23 +399,25 @@ def _occurrences(m, rule, pattern):
 def _matches(m, rule):
     """The memoised body of ``match_rule``; the recursion calls it, so a
     wrapper around the public name sees only calls from outside."""
-    key = (rule, m)
-    cached = _MATCH_CACHE.get(key)
-    if cached is None:
-        cached = _occurrences(m, rule, rule.pattern)
-        if len(_MATCH_CACHE) > _MATCH_CACHE_LIMIT:
-            _MATCH_CACHE.clear()
-        _MATCH_CACHE[key] = cached
-    return cached
+    memo = m._memo
+    if memo is None:
+        memo = {}
+        object.__setattr__(m, "_memo", memo)
+    found = memo.get(rule)
+    if found is None:
+        # a table clear inside the recursion drops memo from m, so the
+        # entry is then not kept
+        found = memo[rule] = _occurrences(m, rule, rule.pattern)
+    return found
 
 
 def match_rule(m, rule):
     """Every match of the rule's pattern in m, sorted by ``Match.key``:
     those at the top level of m and those in each distinct operator argument.
 
-    Words are immutable and recur across reduction steps and as arguments
-    of other words, so results are memoised per (rule, word) at every
-    level; the cache is cleared when it grows large.
+    Words are hash-consed and recur across reduction steps and as arguments
+    of other words, so each word keeps its match list per rule, at every
+    level; a clear of the word table drops these memos with the table.
     """
     return _matches(m, rule)
 
@@ -432,8 +436,6 @@ def find_occurrences(m, target):
 
 
 _key = attrgetter("key")
-_MATCH_CACHE = {}
-_MATCH_CACHE_LIMIT = 400_000
 
 
 def is_irreducible(word, rules):

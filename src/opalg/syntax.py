@@ -10,22 +10,26 @@ and builds one word and one coefficient per term; parenthesised sums are
 multiplied in last, and only the finished polynomial is an ``OpPolynomial``.
 
 Input size is bounded before anything is built: a term of more than
-``SIZE_CAP`` top-level factors, and a product of sums of more than
-``WORD_CAP`` term pairs, raise ``BoundExceeded``.  A power of a sum counts
-the pairs of every product of its repeated squaring beforehand.
+``SIZE_CAP`` top-level factors, a product of sums of more than ``WORD_CAP``
+term pairs, and a scalar power of more than ``POWER_BITS_CAP`` estimated
+bits raise ``BoundExceeded``.  A power of a sum counts the pairs of every
+product of its repeated squaring beforehand.  So does an integer, read or
+printed, with more digits than the interpreter converts
+(``sys.get_int_max_str_digits``): the input is valid, only too large.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 from .coeff import ONE, ZERO, Scalar
 from .poly import OpPolynomial, add_term
 from .terms import OP_D, OP_P, OpApp, Word
 
 __all__ = [
-    "ParseError", "parse_polynomial", "parse_word", "format_polynomial", "is_letter_name",
-    "BoundExceeded", "WORD_CAP", "SIZE_CAP",
+    "ParseError", "parse_polynomial", "parse_word", "format_polynomial", "format_scalar",
+    "is_letter_name", "BoundExceeded", "WORD_CAP", "SIZE_CAP", "POWER_BITS_CAP",
 ]
 
 DEFAULT_OPERATORS = (OP_D, OP_P)
@@ -37,6 +41,9 @@ WORD_CAP = 1_000_000
 #: on the summed depth of a context family's spines, and on the top-level
 #: factors of one parsed term.
 SIZE_CAP = 32 * WORD_CAP
+#: The most bits a scalar power in the grammar may be estimated to hold
+#: (``_check_power``); 2^8192 has 2,467 digits.
+POWER_BITS_CAP = 8192
 
 
 class ParseError(ValueError):
@@ -50,8 +57,9 @@ class BoundExceeded(RuntimeError):
     total size more than SIZE_CAP; or a verification context family more
     than WORD_CAP contexts, spines of total depth more than SIZE_CAP, or a
     depth past the recursion limit; or a parsed term more than SIZE_CAP
-    top-level factors, or a product of parsed sums more than WORD_CAP term
-    pairs."""
+    top-level factors, a product of parsed sums more than WORD_CAP term
+    pairs, or a scalar power more than POWER_BITS_CAP bits; or an integer
+    read or printed has more digits than the interpreter converts."""
 
 
 # ---------------------------------------------------------------------------
@@ -175,16 +183,17 @@ class _Parser:
         if self.peek()[0] == "-":
             self.take()
             sign = -1
-        tok = self.take("INT")
-        exp = sign * int(tok[1])
+        exp = sign * _int(self.take("INT"))
         c = _as_scalar(base)
         if c is not None:
+            _check_power(c, exp)
             return (c**exp, (), ())
         if exp < 0:
             raise ParseError("negative power of a non-scalar", caret[2])
         if type(base) is not dict:
             c, letters, ops = base
             _check_factors((len(letters) + len(ops)) * exp)
+            _check_power(c, exp)
             return (c**exp, letters * exp, ops * exp)
         _check_pairs(_squaring_pairs(len(base), exp))
         acc = {_UNIT: ONE}
@@ -201,7 +210,7 @@ class _Parser:
         kind, text, at = tok
         if kind == "INT":
             self.take()
-            return (Scalar.from_rational(int(text)), (), ())
+            return (Scalar.from_rational(_int(tok)), (), ())
         if kind == "(":
             self.take()
             inner = self.sum()
@@ -248,6 +257,41 @@ def _as_scalar(factor):
         return None
     c, letters, ops = factor
     return None if letters or ops else c
+
+
+def _int(tok):
+    """The value of an INT token.  Its digits are valid, so a literal too
+    long for ``int`` is a limit, not a syntax error."""
+    try:
+        return int(tok[1])
+    except ValueError:
+        raise BoundExceeded(
+            f"an integer literal of {len(tok[1])} digits, more than "
+            f"{sys.get_int_max_str_digits()} (column {tok[2] + 1})"
+        ) from None
+
+
+def _bits(q):
+    """The bits of a Fraction beyond those of 1: none for ±1, one for 2."""
+    return abs(q.numerator).bit_length() + q.denominator.bit_length() - 2
+
+
+def _check_power(c, exp):
+    """Refuse c**exp before it is computed if it would hold more than
+    POWER_BITS_CAP bits: n = |exp| times its coefficient's for a monomial
+    a·L^k, so L^k itself is free, and n² times its dense form's for any
+    other scalar, whose degree and coefficients both grow n-fold."""
+    n = abs(exp)
+    if c.monomial is not None:
+        bits = n * _bits(c.monomial[0])
+    elif c:
+        bits = n * n * sum(1 + _bits(q) for q in c.num + c.den)
+    else:
+        return
+    if bits > POWER_BITS_CAP:
+        raise BoundExceeded(
+            f"a scalar power of about {bits} bits, more than {POWER_BITS_CAP}"
+        )
 
 
 def _check_factors(n):
@@ -328,14 +372,27 @@ def _scalar_pieces(c):
         a = abs(a)
         parts = []
         if a != 1 or k == 0:
-            parts.append(str(a))
+            parts.append(format_scalar(a))
         if k == 1:
             parts.append("L")
         elif k != 0:
-            parts.append(f"L^{k}")
+            parts.append(f"L^{format_scalar(k)}")
         return neg, "*".join(parts)
     neg = c.num[-1] < 0
-    return neg, f"({-c if neg else c})"
+    return neg, f"({format_scalar(-c if neg else c)})"
+
+
+def format_scalar(c):
+    """``str(c)`` for a scalar, a rational or an integer, refusing with
+    ``BoundExceeded`` one holding an integer of more digits than the
+    interpreter converts."""
+    try:
+        return str(c)
+    except ValueError:
+        raise BoundExceeded(
+            f"a coefficient holds an integer of more than "
+            f"{sys.get_int_max_str_digits()} digits"
+        ) from None
 
 
 def format_polynomial(f):

@@ -29,10 +29,13 @@ Canonical form
     depend on the table; each is built from the children's cached hashes
     (a word's from its letters and its factors' hashes, an application's
     from its operator and its argument's hash), so it costs one pass over
-    the top level, not over the whole nested key.  The table is bounded: it
-    is cleared when it grows past ``_TABLE_LIMIT`` entries.  Equal words
-    built on either side of a clear (or by two threads missing at once) are
-    distinct objects that still compare equal, so a clear changes no result.
+    the top level, not over the whole nested key.  A word also holds the
+    rewriting engine's memo of its matches (``Word._memo``).  The table is
+    bounded, and its bound is the memos' too: when it grows past
+    ``_TABLE_LIMIT`` entries, every word it holds drops its memo and the
+    table is cleared.  Equal words built on either side of a clear (or by
+    two threads missing at once) are distinct objects that still compare
+    equal, so a clear changes no result.
 
 The term order used by the whole engine compares words by (1) total
 operator degree, (2) number of top-level operator factors, (3) the tuple of
@@ -74,7 +77,10 @@ __all__ = [
 
 #: The hash-consing table: (letters, ops) -> Word and (rank, name, arg) ->
 #: OpApp; the two kinds of lookup key differ in length, so never collide.
-#: An entry costs about 600 bytes, so the bound keeps it under about 250 MB.
+#: An entry costs about 600 bytes.  A word's memo of matches holds at most
+#: one entry per rule, about 150 bytes besides the matches in it, so the one
+#: bound keeps the table under about 250 MB and the memos under about 60 MB
+#: per rule.
 _TABLE = {}
 _TABLE_LIMIT = 400_000
 
@@ -83,6 +89,11 @@ _factor_key = attrgetter("key")
 
 def _intern(ident, value):
     if len(_TABLE) >= _TABLE_LIMIT:
+        # drop every memo first, so nothing the table held keeps its
+        # matches, or the words they hold, alive past the clear
+        for held in _TABLE.values():
+            if type(held) is Word:
+                object.__setattr__(held, "_memo", None)
         _TABLE.clear()
         _TABLE[_UNIT_IDENT] = _UNIT
     _TABLE[ident] = value
@@ -161,9 +172,15 @@ class OpApp:
 
 
 class Word:
-    """A commutative word: multiset of letters and operator applications."""
+    """A commutative word: multiset of letters and operator applications.
 
-    __slots__ = ("letters", "ops", "op_degree", "letter_degree", "key", "_hash")
+    ``_memo`` is the rewriting engine's memo of this word's matches, rule ->
+    match list (see ``opalg.rewrite``): None until the first match, and
+    dropped when the table is cleared.  It is a cache, not part of the
+    value, so copies, pickles and comparisons ignore it.
+    """
+
+    __slots__ = ("letters", "ops", "op_degree", "letter_degree", "key", "_hash", "_memo")
 
     def __new__(cls, letters=(), ops=()):
         ident = (tuple(letters), tuple(ops))
@@ -203,6 +220,7 @@ class Word:
             (op_degree, len(ops), tuple(tiers), tuple(args), (len(letters), letters)),
         )
         object.__setattr__(word, "_hash", hash(tuple(hashes)))
+        object.__setattr__(word, "_memo", None)
         _intern(ident, word)
         return word
 

@@ -462,6 +462,50 @@ def test_cli_parse_over_the_caps_exit_3(capsys, text, message):
     assert time.perf_counter() - t0 < 5.0
 
 
+# the interpreter's limit on decimal digits in int <-> str conversions
+_DIGITS = sys.get_int_max_str_digits()
+# a product of powers of 2, each within POWER_BITS_CAP, printing past that limit
+_LONG_PRODUCT = "*".join(["2^8000"] * (_DIGITS // 2400 + 2))
+
+
+@pytest.mark.skipif(not _DIGITS, reason="int-to-string conversion is unlimited")
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["nf", "--theory", "rb", "2^15000*x"], "scalar power"),
+        (["nf", "--theory", "rb", "2^99999999*x"], "scalar power"),
+        (["nf", "--theory", "rb", "(1+L)^2000*x"], "scalar power"),
+        (["nf", "--theory", "rb", "(1+L)^3000*x"], "scalar power"),
+        (["nf", "--theory", "rb", "(2*x)^99999"], "scalar power"),
+        (["nf", "--theory", "rb", "1" * (_DIGITS + 1) + "*x"], "integer literal"),
+        (["nf", "--theory", "rb", "x^" + "1" * (_DIGITS + 1)], "integer literal"),
+        (["nf", "--theory", "rb", _LONG_PRODUCT + "*x"], "digits"),
+        (["nf", "--theory", "rb", "--json", _LONG_PRODUCT + "*p(x)*p(y)"], "digits"),
+        (["nf", "--theory", "rb", "--trace", _LONG_PRODUCT + "*p(x)*p(y)"], "digits"),
+        (["model-eval", "--assign", "x=1", _LONG_PRODUCT + "*x"], "digits"),
+    ],
+    ids=lambda v: " ".join(v)[:60] if isinstance(v, list) else v,
+)
+def test_cli_scalar_size_refusals_exit_3(capsys, argv, message):
+    # valid input, too large to compute or print: a limit, not a syntax error
+    t0 = time.perf_counter()
+    code, out, err = _run(capsys, argv)
+    assert code == 3 and out == ""
+    assert err.startswith("limit:") and message in err and "Traceback" not in err
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_cli_large_scalars_within_the_bounds_print(capsys):
+    for text, printed in [
+        ("L^100000000*x", "L^100000000*x"),
+        ("2^64*x", "18446744073709551616*x"),
+        ("(1+L)^3*x", "(L^3 + 3*L^2 + 3*L + 1)*x"),
+        ("0^99999999*x", "0"),
+    ]:
+        code, out, _ = _run(capsys, ["nf", "--theory", "rb", text])
+        assert (code, out) == (0, printed + "\n")
+
+
 def test_cli_compose(capsys):
     code, out, _ = _run(
         capsys,

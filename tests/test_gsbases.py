@@ -28,7 +28,13 @@ from opalg.gsbases import (
     verify_gs,
 )
 from opalg.poly import OpPolynomial
-from opalg.rewrite import RuleSchema, RuleValidationError, is_irreducible, normal_form
+from opalg.rewrite import (
+    RuleSchema,
+    RuleValidationError,
+    ideal_member,
+    is_irreducible,
+    normal_form,
+)
 from opalg.sampling import random_polynomial
 from opalg.terms import OP_D, OP_P, Word
 
@@ -144,6 +150,15 @@ def test_rb_verifies_completely():
     }
     inter = {(r.left, r.right) for r in rep.reports if r.kind == "intersection"}
     assert inter == {("p_rota_baxter", "p_rota_baxter")}
+
+
+def test_gs_verified_flags_match_verification():
+    # ideal_member answers only for a preset whose flag is set
+    assert len(PRESETS) == 6
+    for name, theory in PRESETS.items():
+        assert theory.gs_verified == verify_gs(theory, VerifyConfig(1, 1, True)).passed, name
+    assert {name for name, t in PRESETS.items() if t.gs_verified} == {"rb", "d-gs", "drb-gs"}
+    assert ideal_member(P("p(x)*p(y) - p(x*p(y)) - p(p(x)*y) - L*p(x*y)"), RB)
 
 
 def test_d_verification_finds_the_leibniz_quasi_idem_gap():

@@ -443,12 +443,11 @@ def test_reducts_built_in_their_context_match_the_instance_path(monkeypatch):
 def test_rewrite_word_counts(monkeypatch):
     # built through rule-instance words and singleton words op(w), the same
     # reductions took 4,401 and 4,825 interned entries and 5,319 and 8,147
-    # Word(...) calls; a table and match cache of their own, never cleared,
-    # so test order cannot move the counts, and fresh letters, so every
-    # word is new
+    # Word(...) calls; a table of its own, never cleared, so test order
+    # cannot move the counts, and fresh letters, so every word is new and
+    # holds no matches yet
     monkeypatch.setattr(terms, "_TABLE", dict(terms._TABLE))
     monkeypatch.setattr(terms, "_TABLE_LIMIT", 10**9)
-    monkeypatch.setattr(rewrite, "_MATCH_CACHE", {})
     interned = []
     built = []
     intern, init = terms._intern, Word.__init__
@@ -477,8 +476,26 @@ def test_rewrite_word_counts(monkeypatch):
     assert counts == [(541, 3735, 4170), (511, 3577, 6644)]
 
 
+def _fresh_table(monkeypatch, limit=10**9, table=None):
+    """Give the words a table of their own, holding only the unit word with
+    no matches, so every word built from now on is new and unmatched."""
+    unit = Word.unit()
+    object.__setattr__(unit, "_memo", None)
+    table = {} if table is None else table
+    table[((), ())] = unit
+    monkeypatch.setattr(terms, "_TABLE", table)
+    monkeypatch.setattr(terms, "_TABLE_LIMIT", limit)
+    return table
+
+
+def _memo_entries():
+    return sum(
+        len(w._memo) for w in terms._TABLE.values() if type(w) is Word and w._memo
+    )
+
+
 def _count_level_matches(monkeypatch):
-    """Empty the match cache and count _match_at_level calls from now on."""
+    """Start a fresh word table and count _match_at_level calls from now on."""
     calls = []
     match = rewrite._match_at_level
 
@@ -486,7 +503,7 @@ def _count_level_matches(monkeypatch):
         calls.append(level)
         return match(pattern, level)
 
-    monkeypatch.setattr(rewrite, "_MATCH_CACHE", {})
+    _fresh_table(monkeypatch)
     monkeypatch.setattr(rewrite, "_match_at_level", counting)
     return calls
 
@@ -495,9 +512,9 @@ def test_match_work_counts(monkeypatch):
     calls = _count_level_matches(monkeypatch)
     res = normal_form(P("p(a)*p(b*b)*p(c)"), RB_THEORY.rules)
     assert len(res.poly) == 13
-    # one top-level match per distinct (rule, word), arguments included;
-    # walking every level of every word took 111
-    assert len(calls) == len(rewrite._MATCH_CACHE) == 84
+    # one top-level match per distinct (rule, word), arguments included,
+    # each kept in the word's memo; walking every level of every word took 111
+    assert len(calls) == _memo_entries() == 84
     # a word around an already-matched argument costs one top-level match
     rule = RB_THEORY.rule("p_rota_baxter")
     arg = P("p(x)*p(y*y)").leading_word()
@@ -508,20 +525,49 @@ def test_match_work_counts(monkeypatch):
     assert matches == match_rule_reference(p(arg) * X, rule) and matches
 
 
-def test_match_cache_clears_mid_recursion_change_no_result(monkeypatch):
-    inputs = [
-        (RB_THEORY, P("p(x)*p(y*y)*p(z)*p(w*w)*p(v)")),
-        (D_THEORY, P("d(a)*d(b*b)*d(c)*d(e)*d(f*f)*d(g)*d(h*h)*d(k)*d(m)")),
+def test_table_clears_mid_recursion_change_no_result(monkeypatch):
+    texts = [
+        (RB_THEORY, "p(x)*p(y*y)*p(z)*p(w*w)*p(v)"),
+        (D_THEORY, "d(a)*d(b*b)*d(c)*d(e)*d(f*f)*d(g)*d(h*h)*d(k)*d(m)"),
     ]
-    expected = [normal_form(f, theory.rules, collect_steps=True) for theory, f in inputs]
+    expected = [normal_form(P(text), theory.rules, collect_steps=True) for theory, text in texts]
     verdict = verify_gs(RB_THEORY, VerifyConfig(1, 1, True))
-    # a limit this small clears the cache inside the recursion of most words
-    monkeypatch.setattr(rewrite, "_MATCH_CACHE", {})
-    monkeypatch.setattr(rewrite, "_MATCH_CACHE_LIMIT", 3)
-    for (theory, f), ref in zip(inputs, expected):
+    depth = [0]
+    clear_depths = []
+    matched = []
+
+    class Table(dict):
+        def clear(self):
+            # _intern drops the memos before it clears
+            assert all(w._memo is None for w in self.values() if type(w) is Word)
+            clear_depths.append(depth[0])
+            super().clear()
+
+    occurrences = rewrite._occurrences
+
+    def tracked(m, rule, pattern):
+        matched.append(m)
+        depth[0] += 1
+        try:
+            return occurrences(m, rule, pattern)
+        finally:
+            depth[0] -= 1
+
+    # a table this small, fresh so that every word misses it, is cleared
+    # inside the match recursion of most words
+    _fresh_table(monkeypatch, limit=100, table=Table())
+    monkeypatch.setattr(rewrite, "_occurrences", tracked)
+    for (theory, text), ref in zip(texts, expected):
+        f = P(text)
+        lead = f.leading_word()
         res = normal_form(f, theory.rules, collect_steps=True)
         assert res.poly == ref.poly
         assert _step_keys(res.steps) == _step_keys(ref.steps)
+        # the first redex was matched, then dropped by a later clear
+        assert any(m is lead for m in matched)
+        assert terms._TABLE.get((lead.letters, lead.ops)) is not lead
+        assert lead._memo is None
     assert [len(r.poly) for r in expected] == [541, 511]
     assert verify_gs(RB_THEORY, VerifyConfig(1, 1, True)) == verdict
-    assert len(rewrite._MATCH_CACHE) <= 4
+    assert max(clear_depths) >= 2
+    assert len(terms._TABLE) <= 100

@@ -147,3 +147,33 @@ def test_benchmark_tracer_installs():
     assert metrics["gsbases.compositions"] == 10
     assert metrics["rewrite.nf_calls"] == 11
     assert metrics["terms.words_built"] <= 1510
+
+
+def _module_containers():
+    """(module, name) -> size of each module-level dict, list or set in opalg."""
+    sizes = {}
+    for mod_name, mod in list(sys.modules.items()):
+        if mod is None or not (mod_name == "opalg" or mod_name.startswith("opalg.")):
+            continue
+        for name, value in vars(mod).items():
+            if isinstance(value, (dict, list, set)) and not name.startswith("__"):
+                sizes[(mod_name, name)] = len(value)
+    return sizes
+
+
+def test_the_word_table_is_the_only_growing_store():
+    # every memo lives on the hash-consed words, so the word table and its
+    # one bound are the only process-wide state a round of work grows
+    import opalg
+    from opalg.gsbases import VerifyConfig
+    from opalg.models import HurwitzConstrainedModel, RationalRing
+
+    before = _module_containers()
+    opalg.verify_gs(opalg.preset("rb"), VerifyConfig(1, 1, True))
+    text = "d(p(tool_a*tool_b))*p(tool_c)*p(tool_c) - L*tool_a"
+    opalg.normal_form(opalg.parse_polynomial(text), opalg.preset("drb").rules)
+    opalg.enumerate_irr(opalg.preset("drb"), 4, ("tool_a", "tool_b"))
+    opalg.check_axioms(HurwitzConstrainedModel(RationalRing(), 2, window=6), samples=2)
+    after = _module_containers()
+    changed = {key for key in before.keys() | after.keys() if before.get(key) != after.get(key)}
+    assert changed == {("opalg.terms", "_TABLE")}
