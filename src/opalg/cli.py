@@ -15,9 +15,8 @@ import re
 import sys
 from fractions import Fraction
 
-from .coeff import Scalar
+from .coeff import BoundExceeded, Scalar
 from .gsbases import (
-    BoundExceeded,
     PRESETS,
     TheoryPreset,
     VerifyConfig,
@@ -38,8 +37,6 @@ from .rewrite import (
     DEFAULT_STEP_LIMIT,
     RuleSchema,
     RuleValidationError,
-    StepLimitExceeded,
-    TermLimitExceeded,
     normal_form,
 )
 from .syntax import (
@@ -459,7 +456,7 @@ def main(argv=None):
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (StepLimitExceeded, TermLimitExceeded, BoundExceeded) as exc:
+    except BoundExceeded as exc:
         print(f"limit: {exc}", file=sys.stderr)
         return 3
     except RecursionError:

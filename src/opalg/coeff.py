@@ -21,16 +21,38 @@ built it.
 
 Scalars are immutable and hashable; all operations return new values.
 Inputs must be exact: a ``float`` is refused (see :func:`exact_fraction`).
+
+The scalar-size bound lives here, so every caller (the parser, ``nf
+--lambda``, model evaluation) gets the same one: a power and a
+specialisation estimated past ``POWER_BITS_CAP`` bits raise
+:class:`BoundExceeded` before anything is computed.  ``L^k`` alone is free;
+``w^k`` at a concrete weight w is refused exactly when the typed power is.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-__all__ = ["Scalar", "InvalidWeight", "PoleAtWeight", "exact_fraction", "exact_weight"]
+__all__ = [
+    "Scalar", "InvalidWeight", "PoleAtWeight", "BoundExceeded", "POWER_BITS_CAP",
+    "exact_fraction", "exact_weight",
+]
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
+
+#: The most bits a scalar power or specialisation may be estimated to hold;
+#: 2^8192 has 2,467 digits.
+POWER_BITS_CAP = 8192
+
+
+class BoundExceeded(RuntimeError):
+    """Valid input, too large to compute: the one limit error of opalg.
+
+    Raised for a scalar power or specialisation past POWER_BITS_CAP bits
+    (here); for the word, size and integer-digit bounds of ``opalg.syntax``
+    and ``opalg.gsbases``; and, through its subclasses, for the reducer's
+    step and term limits (``opalg.rewrite``)."""
 
 
 def exact_fraction(x):
@@ -64,6 +86,16 @@ def exact_weight(weight):
 
 class PoleAtWeight(ArithmeticError):
     """The denominator vanishes at the requested weight."""
+
+
+def _bits(q):
+    """The bits of a Fraction beyond those of 1: none for ±1, one for 2."""
+    return abs(q.numerator).bit_length() + q.denominator.bit_length() - 2
+
+
+def _check_bits(bits):
+    if bits > POWER_BITS_CAP:
+        raise BoundExceeded(f"a scalar power of about {bits} bits, more than {POWER_BITS_CAP}")
 
 
 # ---------------------------------------------------------------------------
@@ -268,11 +300,19 @@ class Scalar:
         return self * other.inverse()
 
     def __pow__(self, n):
+        """self**n, refused before it is computed if it would hold more than
+        POWER_BITS_CAP bits: |n| times its coefficient's for a monomial
+        a·L^k, so L^k itself is free, and n² times its dense form's for any
+        other nonzero scalar, whose degree and coefficients both grow
+        n-fold.  Zero to any power is free."""
         if not isinstance(n, int):
             return NotImplemented
         a = self.monomial
         if a is not None:
+            _check_bits(abs(n) * _bits(a[0]))
             return _from_monomial(a[0] ** n, a[1] * n)
+        if self._num:
+            _check_bits(n * n * sum(1 + _bits(q) for q in self._num + self._den))
         if n < 0:
             return self.inverse() ** (-n)
         out = ONE
@@ -288,11 +328,16 @@ class Scalar:
     # -- evaluation ---------------------------------------------------------
 
     def specialize(self, weight):
-        """Evaluate at a concrete nonzero rational weight, exactly."""
+        """Evaluate at a concrete nonzero rational weight w, exactly.
+
+        Refused as the typed power w^k would be, where k is the largest
+        power of L the scalar holds, in its numerator or denominator."""
         w = exact_weight(weight)
         a = self.monomial
         if a is not None:
+            _check_bits(abs(a[1]) * _bits(w))
             return a[0] * w ** a[1]
+        _check_bits((max(len(self._num), len(self._den)) - 1) * _bits(w))
         d = _peval(self.den, w)
         if d == 0:
             raise PoleAtWeight(f"denominator vanishes at weight {w}")

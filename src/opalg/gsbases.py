@@ -68,6 +68,7 @@ import math
 import sys
 from dataclasses import dataclass, field, replace
 
+from .coeff import BoundExceeded
 from .poly import OpPolynomial
 from .rewrite import (
     RuleSchema,
@@ -76,7 +77,7 @@ from .rewrite import (
     find_occurrences,
     normal_form,
 )
-from .syntax import SIZE_CAP, WORD_CAP, BoundExceeded, parse_polynomial
+from .syntax import SIZE_CAP, WORD_CAP, parse_polynomial
 from .terms import OP_D, OP_P, Context, Word
 
 __all__ = [
@@ -209,41 +210,23 @@ class CompositionReport:
         return (self.left, self.right, self.kind, self.ambiguity.key, extra)
 
 
-def _factor_counts(word):
-    counts = {}
-    for name in word.letters:
-        key = ("L", name)
-        counts[key] = counts.get(key, 0) + 1
-    for f in word.ops:
-        key = ("O", f)
-        counts[key] = counts.get(key, 0) + 1
-    return counts
-
-
-def _word_from_choice(items):
-    letters = []
-    ops = []
-    for (tag, val), n in items:
-        if tag == "L":
-            letters.extend([val] * n)
-        else:
-            ops.extend([val] * n)
-    return Word(tuple(letters), tuple(ops))
-
-
 def _common_submultisets(a, b):
-    """All nonempty common factor sub-multisets of two words."""
-    ca, cb = _factor_counts(a), _factor_counts(b)
-    shared = [(k, min(n, cb[k])) for k, n in ca.items() if k in cb]
-    if not shared:
-        return
-    ranges = [range(n + 1) for _, n in shared]
-    for picks in itertools.product(*ranges):
-        if not any(picks):
-            continue
-        yield _word_from_choice(
-            [(k, n) for (k, _), n in zip(shared, picks) if n]
-        )
+    """All nonempty common factor sub-multisets of two words.  Each run of
+    equal factors in a's sorted letters, then in its sorted operator
+    factors, takes 0 up to its count in both words; the last run varies
+    fastest."""
+    runs = []
+    for side, mine, theirs in ((0, a.letters, b.letters), (1, a.ops, b.ops)):
+        for x, group in itertools.groupby(mine):
+            n = min(len(tuple(group)), theirs.count(x))
+            if n:
+                runs.append((side, x, n))
+    for picks in itertools.product(*(range(n + 1) for _, _, n in runs)):
+        if any(picks):
+            parts = ([], [])
+            for (side, x, _), k in zip(runs, picks):
+                parts[side].extend([x] * k)
+            yield Word(*parts)
 
 
 def intersection_compositions(f, g, left="f", right="g", scenario=None):

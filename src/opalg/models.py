@@ -517,16 +517,10 @@ def _eval_word(word, model, assignment):
         acc = val if acc is None else acc * val
     for f in word.ops:
         inner = _eval_word(f.arg, model, assignment)
-        if f.op.name == "d":
-            if model.d is None:
-                raise NonunitalModel("model has no differential operator")
-            val = model.d(inner)
-        elif f.op.name == "p":
-            if model.p is None:
-                raise NonunitalModel("model has no Rota-Baxter operator")
-            val = model.p(inner)
-        else:
+        op = {"d": model.d, "p": model.p}.get(f.op.name)
+        if op is None:
             raise KeyError(f"model does not interpret operator {f.op.name}")
+        val = op(inner)
         acc = val if acc is None else acc * val
     return acc
 

@@ -42,6 +42,7 @@ import random
 from dataclasses import dataclass
 from operator import attrgetter
 
+from .coeff import BoundExceeded
 from .poly import OpPolynomial
 from .sampling import random_word
 from .terms import (
@@ -76,11 +77,11 @@ DEFAULT_STEP_LIMIT = 1_000_000
 TERM_LIMIT = 50_000
 
 
-class StepLimitExceeded(RuntimeError):
+class StepLimitExceeded(BoundExceeded):
     """Reduction hit the configured step cap."""
 
 
-class TermLimitExceeded(RuntimeError):
+class TermLimitExceeded(BoundExceeded):
     """Reduction grew the polynomial past TERM_LIMIT terms."""
 
 

@@ -10,12 +10,13 @@ and builds one word and one coefficient per term; parenthesised sums are
 multiplied in last, and only the finished polynomial is an ``OpPolynomial``.
 
 Input size is bounded before anything is built: a term of more than
-``SIZE_CAP`` top-level factors, a product of sums of more than ``WORD_CAP``
-term pairs, and a scalar power of more than ``POWER_BITS_CAP`` estimated
-bits raise ``BoundExceeded``.  A power of a sum counts the pairs of every
-product of its repeated squaring beforehand.  So does an integer, read or
-printed, with more digits than the interpreter converts
-(``sys.get_int_max_str_digits``): the input is valid, only too large.
+``SIZE_CAP`` top-level factors and a product of sums of more than
+``WORD_CAP`` term pairs raise ``BoundExceeded``.  A power of a sum counts
+the pairs of every product of its repeated squaring beforehand.  So does an
+integer, read or printed, with more digits than the interpreter converts
+(``sys.get_int_max_str_digits``): the input is valid, only too large.  A
+scalar power is bounded by the scalar type itself (``opalg.coeff``, whose
+``BoundExceeded`` and ``POWER_BITS_CAP`` this module re-exports).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import math
 import sys
 
-from .coeff import ONE, ZERO, Scalar
+from .coeff import ONE, POWER_BITS_CAP, ZERO, BoundExceeded, Scalar
 from .poly import OpPolynomial, add_term
 from .terms import OP_D, OP_P, OpApp, Word
 
@@ -41,25 +42,12 @@ WORD_CAP = 1_000_000
 #: on the summed depth of a context family's spines, and on the top-level
 #: factors of one parsed term.
 SIZE_CAP = 32 * WORD_CAP
-#: The most bits a scalar power in the grammar may be estimated to hold
-#: (``_check_power``); 2^8192 has 2,467 digits.
-POWER_BITS_CAP = 8192
 
 
 class ParseError(ValueError):
     def __init__(self, message, position):
         super().__init__(f"{message} (column {position + 1})")
         self.position = position
-
-
-class BoundExceeded(RuntimeError):
-    """A word enumeration would hold more than WORD_CAP words, or words of
-    total size more than SIZE_CAP; or a verification context family more
-    than WORD_CAP contexts, spines of total depth more than SIZE_CAP, or a
-    depth past the recursion limit; or a parsed term more than SIZE_CAP
-    top-level factors, a product of parsed sums more than WORD_CAP term
-    pairs, or a scalar power more than POWER_BITS_CAP bits; or an integer
-    read or printed has more digits than the interpreter converts."""
 
 
 # ---------------------------------------------------------------------------
@@ -186,14 +174,12 @@ class _Parser:
         exp = sign * _int(self.take("INT"))
         c = _as_scalar(base)
         if c is not None:
-            _check_power(c, exp)
             return (c**exp, (), ())
         if exp < 0:
             raise ParseError("negative power of a non-scalar", caret[2])
         if type(base) is not dict:
             c, letters, ops = base
             _check_factors((len(letters) + len(ops)) * exp)
-            _check_power(c, exp)
             return (c**exp, letters * exp, ops * exp)
         _check_pairs(_squaring_pairs(len(base), exp))
         acc = {_UNIT: ONE}
@@ -269,29 +255,6 @@ def _int(tok):
             f"an integer literal of {len(tok[1])} digits, more than "
             f"{sys.get_int_max_str_digits()} (column {tok[2] + 1})"
         ) from None
-
-
-def _bits(q):
-    """The bits of a Fraction beyond those of 1: none for ±1, one for 2."""
-    return abs(q.numerator).bit_length() + q.denominator.bit_length() - 2
-
-
-def _check_power(c, exp):
-    """Refuse c**exp before it is computed if it would hold more than
-    POWER_BITS_CAP bits: n = |exp| times its coefficient's for a monomial
-    a·L^k, so L^k itself is free, and n² times its dense form's for any
-    other scalar, whose degree and coefficients both grow n-fold."""
-    n = abs(exp)
-    if c.monomial is not None:
-        bits = n * _bits(c.monomial[0])
-    elif c:
-        bits = n * n * sum(1 + _bits(q) for q in c.num + c.den)
-    else:
-        return
-    if bits > POWER_BITS_CAP:
-        raise BoundExceeded(
-            f"a scalar power of about {bits} bits, more than {POWER_BITS_CAP}"
-        )
 
 
 def _check_factors(n):

@@ -483,6 +483,11 @@ _LONG_PRODUCT = "*".join(["2^8000"] * (_DIGITS // 2400 + 2))
         (["nf", "--theory", "rb", "--json", _LONG_PRODUCT + "*p(x)*p(y)"], "digits"),
         (["nf", "--theory", "rb", "--trace", _LONG_PRODUCT + "*p(x)*p(y)"], "digits"),
         (["model-eval", "--assign", "x=1", _LONG_PRODUCT + "*x"], "digits"),
+        # a concrete weight is bounded as the power typed with it would be
+        (["nf", "--theory", "rb", "3^8193*x"], "about 8193 bits"),
+        (["nf", "--theory", "rb", "--lambda", "3", "L^8193*x"], "about 8193 bits"),
+        (["nf", "--theory", "rb", "--lambda", "3", "L^100000000*x"], "scalar power"),
+        (["model-eval", "--lambda", "3", "--assign", "x=1", "L^100000000*x"], "scalar power"),
     ],
     ids=lambda v: " ".join(v)[:60] if isinstance(v, list) else v,
 )
@@ -496,13 +501,17 @@ def test_cli_scalar_size_refusals_exit_3(capsys, argv, message):
 
 
 def test_cli_large_scalars_within_the_bounds_print(capsys):
-    for text, printed in [
-        ("L^100000000*x", "L^100000000*x"),
-        ("2^64*x", "18446744073709551616*x"),
-        ("(1+L)^3*x", "(L^3 + 3*L^2 + 3*L + 1)*x"),
-        ("0^99999999*x", "0"),
+    for args, printed in [
+        (["L^100000000*x"], "L^100000000*x"),
+        (["2^64*x"], "18446744073709551616*x"),
+        (["(1+L)^3*x"], "(L^3 + 3*L^2 + 3*L + 1)*x"),
+        (["0^99999999*x"], "0"),
+        (["--lambda", "3", "L^100*x"], f"{3**100}*x"),
+        # a weight's power passes exactly when the typed power does
+        (["3^8192*x"], f"{3**8192}*x"),
+        (["--lambda", "3", "L^8192*x"], f"{3**8192}*x"),
     ]:
-        code, out, _ = _run(capsys, ["nf", "--theory", "rb", text])
+        code, out, _ = _run(capsys, ["nf", "--theory", "rb", *args])
         assert (code, out) == (0, printed + "\n")
 
 
@@ -541,6 +550,13 @@ def test_cli_model_eval(capsys):
         ["model-eval", "--model", "degenerate", "--lambda", "2", "--assign", "x=3", "d(p(x)) - x"],
     )
     assert code == 0 and out.strip() == "0"
+
+
+def test_cli_model_eval_hurwitz_prints_the_window(capsys):
+    argv = ["model-eval", "--model", "hurwitz", "--lambda", "2", "--trunc", "4",
+            "--assign", "x=3", "p(x)*x"]
+    code, out, err = _run(capsys, argv)
+    assert (code, out, err) == (0, '["-18", "9", "-9/2", "9/4"]\n', "")
 
 
 def test_cli_model_eval_negative_weight(capsys):
@@ -683,6 +699,12 @@ _BAD_RULESETS = {
     "rank-bool.json": dict(
         RULESET, operators=[{"name": "d", "rank": 2}, {"name": "p", "rank": True}]
     ),
+    "rank-twice.json": dict(
+        RULESET, operators=[{"name": "d", "rank": 1}, {"name": "p", "rank": 1}]
+    ),
+    "variable-shadows.json": dict(
+        RULESET, rules=[dict(RULESET["rules"][0], variables=["x"], polynomial="d(p(x)) - x")]
+    ),
 }
 
 
@@ -715,6 +737,8 @@ _BAD_RULESETS = {
         # names that are not there: a rule of the theory, a generator's value
         ["compose", "--theory", "rb", "--left", "nope", "--right", "p_quasi_idem"],
         ["model-eval", "--assign", "x=1", "y"],
+        # an assignment with no value
+        ["model-eval", "--assign", "x", "x"],
     ],
     ids=" ".join,
 )

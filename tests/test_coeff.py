@@ -7,7 +7,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from opalg.cli import format_polynomial, parse_polynomial
-from opalg.coeff import InvalidWeight, PoleAtWeight, Scalar, ONE, ZERO, _padd, _pmul, _pneg
+from opalg.coeff import (
+    POWER_BITS_CAP, BoundExceeded, InvalidWeight, PoleAtWeight, Scalar, ONE, ZERO,
+    _padd, _pmul, _pneg,
+)
 from opalg.poly import OpPolynomial
 from opalg.sampling import random_word
 from opalg.terms import OP_D, OP_P
@@ -291,6 +294,42 @@ def test_nf_of_a_huge_power_of_the_weight_stays_a_view(monkeypatch, capsys):
     monkeypatch.setattr(Scalar, "_densify", refuse)
     assert main(["nf", "--theory", "rb", "L^1000000*x"]) == 0
     assert capsys.readouterr().out == "L^1000000*x\n"
+
+
+def test_scalar_powers_are_bounded_before_they_are_computed():
+    three, lam, dense = Scalar.from_rational(3), Scalar.lam(1), Scalar((1, 1))
+    assert POWER_BITS_CAP == 8192
+    # |n| bits per bit of a monomial's coefficient beyond 1; L^k is free
+    assert three**8192 == Scalar.from_rational(3**8192)
+    assert (lam**100000000).monomial == (1, 100000000)
+    assert ZERO**100000000 == ZERO
+    for n in (8193, -8193):
+        with pytest.raises(BoundExceeded, match="^a scalar power of about 8193 bits, more than 8192$"):
+            three**n
+    # n² times the dense form's bits: 3 for 1 + L, so 52 passes and 53 does not
+    assert dense**52 == _ref_pow(dense, 52)
+    with pytest.raises(BoundExceeded, match="about 8427 bits"):
+        dense**53
+
+
+def test_specialising_is_bounded_as_the_typed_power():
+    # w^k at a concrete weight is refused exactly when the power is, for the
+    # largest power k of L the scalar holds, in numerator or denominator
+    assert Scalar.lam(8192).specialize(3) == 3**8192
+    assert Scalar.lam(10**8).specialize(-1) == 1
+    for s in (Scalar.lam(8193), Scalar.lam(-8193), Scalar((1,) * 8194), Scalar((1,), (1,) * 8194)):
+        with pytest.raises(BoundExceeded, match="about 8193 bits"):
+            s.specialize(3)
+    assert Scalar((1,) * 8193).specialize(2) == 2**8193 - 1
+
+
+def test_one_limit_error():
+    # the limit types named *Exceeded subclass it (tests/test_tooling.py)
+    import opalg
+    from opalg import gsbases, syntax
+
+    assert opalg.BoundExceeded is syntax.BoundExceeded is gsbases.BoundExceeded is BoundExceeded
+    assert syntax.POWER_BITS_CAP is POWER_BITS_CAP
 
 
 def test_general_powers_square_only_as_needed(monkeypatch):

@@ -79,6 +79,30 @@ def test_intersection_overlap_of_leibniz_with_itself():
     assert r.composition == f * W("d(w)") - g * W("d(u)")
 
 
+def test_intersection_over_shared_letters_keeps_its_order():
+    # no preset pattern has a top-level letter; leading words sharing x^2, y
+    # and d(x) give every proper common sub-multiset, each run of equal
+    # factors counting up with the last run fastest
+    f = P("x*x*y*d(x) - x*y")
+    g = P("x*x*y*y*d(x) - 2*y")
+    got = [
+        (str(r.ambiguity), str(r.mu), str(r.nu), str(r.composition))
+        for r in intersection_compositions(f, g)
+    ]
+    assert got == [
+        ("d(x)*y*y*y*x*x*x*x", "y*y*x*x", "y*x*x", "-y*y*y*x*x*x + 2*y*y*x*x"),
+        ("d(x)*d(x)*y*y*y*x*x*x", "d(x)*y*y*x", "d(x)*y*x", "-d(x)*y*y*y*x*x + 2*d(x)*y*y*x"),
+        ("d(x)*y*y*y*x*x*x", "y*y*x", "y*x", "-y*y*y*x*x + 2*y*y*x"),
+        ("d(x)*d(x)*y*y*y*x*x", "d(x)*y*y", "d(x)*y", "-d(x)*y*y*y*x + 2*d(x)*y*y"),
+        ("d(x)*y*y*y*x*x", "y*y", "y", "-y*y*y*x + 2*y*y"),
+        ("d(x)*d(x)*y*y*x*x*x*x", "d(x)*y*x*x", "d(x)*x*x", "-d(x)*y*y*x*x*x + 2*d(x)*y*x*x"),
+        ("d(x)*y*y*x*x*x*x", "y*x*x", "x*x", "-y*y*x*x*x + 2*y*x*x"),
+        ("d(x)*d(x)*y*y*x*x*x", "d(x)*y*x", "d(x)*x", "-d(x)*y*y*x*x + 2*d(x)*y*x"),
+        ("d(x)*y*y*x*x*x", "y*x", "x", "-y*y*x*x + 2*y*x"),
+        ("d(x)*d(x)*y*y*x*x", "d(x)*y", "d(x)", "-d(x)*y*y*x + 2*d(x)*y"),
+    ]
+
+
 def test_no_intersection_when_breadths_forbid():
     f = _inst(RB, "p_rota_baxter", u="u", v="v")
     g = _inst(RB, "p_quasi_idem", u="z")

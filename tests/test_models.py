@@ -530,6 +530,26 @@ def test_nonunital_model_rejects_unit():
         evaluate_in_model(P("d(1)"), hur, {})
 
 
+def test_uninterpreted_operators_are_refused_alike():
+    # an operator the model leaves as None and one it has never heard of
+    # are the same refusal, not a missing unit
+    from opalg.cli import ruleset_from_dict
+
+    left = LeftMultiplicationModel(RING, 1, Fraction(2))
+    with pytest.raises(KeyError) as info:
+        evaluate_in_model(P("d(x)"), left, {"x": Fraction(3)})
+    assert info.type is KeyError
+    assert info.value.args == ("model does not interpret operator d",)
+    theory = ruleset_from_dict(
+        {"operators": [{"name": "q", "rank": 1}], "generators": ["x"], "rules": []}
+    )
+    f = P("q(x)", theory.operators)
+    with pytest.raises(KeyError) as info:
+        evaluate_in_model(f, DegenerateModel(RING, 2), {"x": Fraction(3)})
+    assert info.type is KeyError
+    assert info.value.args == ("model does not interpret operator q",)
+
+
 def test_rewriting_is_sound_in_the_degenerate_model():
     rng = random.Random(66)
     drb = preset("drb")

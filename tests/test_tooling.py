@@ -177,3 +177,37 @@ def test_the_word_table_is_the_only_growing_store():
     after = _module_containers()
     changed = {key for key in before.keys() | after.keys() if before.get(key) != after.get(key)}
     assert changed == {("opalg.terms", "_TABLE")}
+
+
+def _exceeded_classes():
+    """Every exception class in src/opalg whose name ends in Exceeded."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        names = [
+            node.name for node in tree.body
+            if isinstance(node, ast.ClassDef) and node.name.endswith("Exceeded")
+        ]
+        if names:
+            module = importlib.import_module(f"opalg.{path.stem}")
+            found.extend(getattr(module, name) for name in names)
+    return found
+
+
+def test_every_limit_error_exits_3(monkeypatch, capsys):
+    # the CLI catches the one limit type, so a new limit that does not
+    # subclass it would escape exit 3
+    from opalg import cli
+    from opalg.coeff import BoundExceeded
+
+    limits = _exceeded_classes()
+    assert BoundExceeded in limits and len(limits) > 1
+    for cls in limits:
+        assert issubclass(cls, BoundExceeded), cls.__name__
+
+        def refuse(args, cls=cls):
+            raise cls("too large")
+
+        monkeypatch.setattr(cli, "_cmd_cmp", refuse)
+        assert cli.main(["cmp", "x", "y"]) == 3, cls.__name__
+        assert capsys.readouterr().err == "limit: too large\n"
