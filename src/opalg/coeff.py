@@ -12,9 +12,10 @@ Quasi-idempotent operators of weight L only ever produce coefficients c·L^k
 ``(c, k)``, or ``None`` when it is not of that form.  Products, sums of equal
 powers, negation, inversion and powers of monomials are built straight from
 their views, without a polynomial gcd; every other case takes the general
-Q(L) path.  A monomial scalar is stored as its view alone: its dense
-``num``/``den`` are built on first read and its hash on first call, so
-``L^1000000`` costs no more than ``L``.  Equality, truth and the
+Q(L) path, where a power raises the coprime numerator and denominator
+apart and needs no gcd either.  A monomial scalar is stored as its view
+alone: its dense ``num``/``den`` are built on first read and its hash on
+first call, so ``L^1000000`` costs no more than ``L``.  Equality, truth and the
 ``is_zero``/``is_one`` tests answer from the view.  Both paths give the same
 canonical ``num``/``den``, hash and view, so no result depends on which path
 built it.
@@ -162,6 +163,18 @@ def _pgcd(a, b):
     if not a:
         return ()
     return _pscale(a, 1 / a[-1])
+
+
+def _ppow(a, n):
+    """a**n for n >= 1, by repeated squaring from the low bit up."""
+    out = None
+    while True:
+        if n & 1:
+            out = a if out is None else _pmul(out, a)
+        n >>= 1
+        if not n:
+            return out
+        a = _pmul(a, a)
 
 
 def _peval(a, x):
@@ -315,15 +328,16 @@ class Scalar:
             _check_bits(n * n * sum(1 + _bits(q) for q in self._num + self._den))
         if n < 0:
             return self.inverse() ** (-n)
-        out = ONE
-        base = self
-        while n:  # repeated squaring, from the low bit up
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        if not n:
+            return ONE
+        if not self._num:
+            return ZERO
+        # the powers of a coprime pair are coprime, and of a monic
+        # polynomial monic, so the result is canonical with no gcd; and a
+        # polynomial of two or more terms keeps two under a power
+        s = object.__new__(Scalar)
+        _fill(s, _ppow(self._num, n), _ppow(self._den, n), None)
+        return s
 
     # -- evaluation ---------------------------------------------------------
 

@@ -252,7 +252,9 @@ class HurwitzSeries:
     def scale(self, k):
         return self._of(self.ring, self.weight, (k * a for a in self.head), self.window)
 
-    __rmul__ = scale
+    def __rmul__(self, k):
+        # through the attribute, so a wrapper on ``scale`` sees k * series too
+        return self.scale(k)
 
     def __mul__(self, other):
         """The binomially weighted product, exact on the common window: the

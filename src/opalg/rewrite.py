@@ -23,16 +23,22 @@ a bare variable alone binds the argument word itself.
 The levels are walked by structure: the matches in a word are those at its
 top level, plus, for each distinct operator factor f, the matches in f's
 argument with the context grown by one level (the operator, and the word
-without f as the sibling).  Each word keeps its own matches, one list per
-rule, in its memo slot (``Word._memo``), and its arguments are words too,
-so a word built around already-matched arguments costs one top-level
-match.  The memos live and die with the word table of ``opalg.terms``:
-its bound is theirs, and its clear drops them.  A match grown by one
-level takes its context key and binding key from the inner match rather
-than rebuilding them, and so does its reduct, the rule's right-hand side
-instantiated in the context: each word of the inner reduct is wrapped in
-the operator beside the sibling, built as one word.  A reduct is built on
-first use and kept with the match.
+without f as the sibling).  Each word keeps its own matches in its memo
+slot (``Word._memo``), one entry per rule: the sorted list of every match
+once a caller has asked for them all (``match_rule``), the least match
+alone while only the leading reducer has asked (``_least_match``), or
+``[]`` when the rule does not match, which answers both.  Its arguments
+are words too, so a word built around already-matched arguments costs one
+top-level match.  The least match is built alone: every top-level match
+sorts before every match in an argument, so the arguments are walked only
+when the top level has none, and the top-level matches are compared
+without building their cofactors.  The memos live and die with the word
+table of ``opalg.terms``: its bound is theirs, and its clear drops them.
+A match grown by one level takes its context key and binding key from the
+inner match rather than rebuilding them, and so does its reduct, the
+rule's right-hand side instantiated in the context: each word of the inner
+reduct is wrapped in the operator beside the sibling, built as one word.
+A reduct is built on first use and kept with the match.
 """
 
 from __future__ import annotations
@@ -205,8 +211,7 @@ class Match:
     __slots__ = ("rule", "context", "binding", "key", "_inner", "_reduct")
 
     def __init__(self, rule, context, binding):
-        key = (context.key, tuple(sorted((v, w.key) for v, w in binding.items())))
-        self._set(rule, context, binding, key, None)
+        self._set(rule, context, binding, (context.key, _binding_key(binding)), None)
 
     def _set(self, rule, context, binding, key, inner):
         object.__setattr__(self, "rule", rule)
@@ -290,6 +295,11 @@ class NFResult:
 # matching
 # ---------------------------------------------------------------------------
 
+def _binding_key(binding):
+    """The second entry of ``Match.key``: the bound words' keys by variable."""
+    return tuple(sorted(zip(binding, map(_key, binding.values()))))
+
+
 def _compile(pattern, varset):
     """The pattern word as nested levels, built once per rule: each level is
     (its concrete letters, its bare variable or None, (operator, compiled
@@ -357,16 +367,37 @@ def _assign_ops(pat_ops, j, target_ops, binding, used, out):
 
 
 def _match_at_level(pattern, level):
-    """(binding, leftover word) pairs matching a compiled pattern into the
-    top level of a word."""
+    """(binding, used) pairs matching a compiled pattern into the top level
+    of a word, used being the bitmask of the level's operator factors that
+    the pattern takes; ``_leftover`` builds the rest of the level."""
     concrete, _, pat_ops = pattern
-    rest = _tuple_subtract(level.letters, concrete)
     ops = level.ops
-    if rest is None or len(pat_ops) > len(ops):
+    if len(pat_ops) > len(ops) or _tuple_subtract(level.letters, concrete) is None:
         return []
     found = []
     _assign_ops(pat_ops, 0, ops, {}, 0, found)
-    return [(bnd, Word(rest, _unused(ops, used))) for bnd, used in found]
+    return found
+
+
+def _leftover(pattern, level, used):
+    """The factors of level that a top-level match of pattern, taking the
+    operator factors in the bitmask used, leaves: the match's cofactor."""
+    return Word(_tuple_subtract(level.letters, pattern[0]), _unused(level.ops, used))
+
+
+_arg_degree = attrgetter("arg.op_degree")
+_arg_key = attrgetter("arg.key")
+
+
+def _cofactor_key(ops, used):
+    """How the cofactor compares that a top-level match taking the factors
+    in the bitmask used leaves at the level whose operator factors are ops,
+    without building it.  The pattern's top-level matches there take the
+    same letters and the same operators, so their cofactors share the
+    letters, the number of operator factors and the operator tiers of their
+    keys, and differ only in op degree and argument keys."""
+    unused = _unused(ops, used)
+    return sum(map(_arg_degree, unused)), tuple(map(_arg_key, unused))
 
 
 def _occurrences(m, rule, pattern):
@@ -377,8 +408,8 @@ def _occurrences(m, rule, pattern):
     function if rule is None.
     """
     out = [
-        Match(rule, Context.top(leftover), binding)
-        for binding, leftover in _match_at_level(pattern, m)
+        Match(rule, Context.top(_leftover(pattern, m, used)), binding)
+        for binding, used in _match_at_level(pattern, m)
     ]
     seen = None
     ops = m.ops
@@ -397,6 +428,54 @@ def _occurrences(m, rule, pattern):
     return out
 
 
+def _least_occurrence(m, rule):
+    """The first match of ``_occurrences(m, rule, rule.pattern)``, or None,
+    built alone.  A top-level match sorts before every wrapped one, since
+    its context key holds no operator, so the arguments are walked only
+    when the top level has no match.  There the cofactors decide, then the
+    bindings; ``_assign_ops`` never passes over a free factor for a later
+    identical one, so distinct masks leave distinct cofactors, and only the
+    bindings of the least mask are compared.  Wrapping beside one sibling
+    keeps the inner order, so the least wrapped match is the least of the
+    distinct arguments' least matches, each wrapped.
+    """
+    pattern = rule.pattern
+    ops = m.ops
+    found = _match_at_level(pattern, m)
+    if found:
+        binding, used = found[0]
+        if len(found) > 1:
+            used = min({u for _, u in found}, key=lambda u: _cofactor_key(ops, u))
+            binding = min((b for b, u in found if u == used), key=_binding_key)
+        return Match(rule, Context.top(_leftover(pattern, m, used)), binding)
+    least = None
+    seen = None
+    for i, f in enumerate(ops):
+        if f == seen:
+            continue
+        seen = f
+        inner = _least_match(f.arg, rule)
+        if inner is not None:
+            mt = inner.wrap(Word(m.letters, ops[:i] + ops[i + 1:]), f.op)
+            if least is None or mt.key < least.key:
+                least = mt
+    return least
+
+
+def _least_match(m, rule):
+    """``match_rule(m, rule)[0]``, or None when the rule does not match m."""
+    memo = m._memo
+    if memo is None:
+        memo = {}
+        object.__setattr__(m, "_memo", memo)
+    found = memo.get(rule)
+    if found is None:
+        found = memo[rule] = _least_occurrence(m, rule) or []
+    if type(found) is list:
+        return found[0] if found else None
+    return found
+
+
 def _matches(m, rule):
     """The memoised body of ``match_rule``; the recursion calls it, so a
     wrapper around the public name sees only calls from outside."""
@@ -405,7 +484,7 @@ def _matches(m, rule):
         memo = {}
         object.__setattr__(m, "_memo", memo)
     found = memo.get(rule)
-    if found is None:
+    if found is None or type(found) is Match:
         # a table clear inside the recursion drops memo from m, so the
         # entry is then not kept
         found = memo[rule] = _occurrences(m, rule, rule.pattern)
@@ -491,10 +570,11 @@ def normal_form(
     the polynomial.  The ``leading`` strategy rewrites the greatest open word
     by the first match of the first rule that matches, dropping open words
     that no rule matches (cf. Monagan & Pearce, "Sparse polynomial division
-    using a heap", JSC 2011).  The ``random`` strategy draws one match among
-    every match of every open word, in ``reduce_once``'s candidate order
-    (words descending, then rules, then matches), keeping each word's match
-    list in ``found``.
+    using a heap", JSC 2011); it asks each word for that least match alone,
+    which the word's memo slot keeps until some caller asks for every match.
+    The ``random`` strategy draws one match among every match of every open
+    word, in ``reduce_once``'s candidate order (words descending, then
+    rules, then matches), keeping each word's match list in ``found``.
 
     Termination is guaranteed for order-compatible rules because each step
     strictly lowers the replaced word; the step cap is a defence against
@@ -517,9 +597,8 @@ def normal_form(
             match = None
             while open_ and match is None:
                 for rule in rules:
-                    matches = match_rule(open_[-1], rule)
-                    if matches:
-                        match = matches[0]
+                    match = _least_match(open_[-1], rule)
+                    if match is not None:
                         break
                 else:
                     open_.pop()

@@ -17,13 +17,17 @@ Canonical form
     degrees and hash are built once.  Only on a miss is a factor tuple of
     more than one entry sorted, and the word looked up again if the sort
     moved anything; the table's keys are sorted, so an unsorted pair never
-    finds a wrong entry, and most callers pass sorted factors already.  A
-    miss then builds the degrees, the key and the hash in one pass over the
-    operator factors.  A rewrite builds each word it needs straight into its
-    context, with no intermediate word: a rule instance's top-level factors
-    go in beside the hole's cofactor (``_substitute_beside``), and each
-    level above is the level's cofactor and one new operator factor
-    (``_beside``), never the singleton word op(w) times the cofactor.
+    finds a wrong entry.  The builders of products and rewrite steps pass
+    sorted factors: a product merges its two sorted runs, a factor added
+    beside a cofactor goes in at its place, and a rule instance built beside
+    a cofactor is sorted before the lookup, so each such hit costs one
+    lookup.  A miss then builds the degrees, the key and the hash in one
+    pass over the operator factors.  A rewrite builds each word it needs
+    straight into its context, with no intermediate word: a rule instance's
+    top-level factors go in beside the hole's cofactor
+    (``_substitute_beside``), and each level above is the level's cofactor
+    and one new operator factor (``_beside``), never the singleton word
+    op(w) times the cofactor.
     Equality tests identity first and falls back to comparing keys.  Hashes
     are structural, never a memory address, so set and dict orders do not
     depend on the table; each is built from the children's cached hashes
@@ -258,7 +262,14 @@ class Word:
             return other
         if other is _UNIT:
             return self
-        return Word(self.letters + other.letters, self.ops + other.ops)
+        # two sorted runs of each kind: merged only if they overlap, so a
+        # hit is one lookup
+        a, b = self.letters, other.letters
+        letters = sorted(a + b, reverse=True) if a and b and a[-1] < b[0] else a + b
+        a, b = self.ops, other.ops
+        if a and b and a[-1].key < b[0].key:
+            return Word(letters, sorted(a + b, key=_factor_key, reverse=True))
+        return Word(letters, a + b)
 
     # -- statistics ----------------------------------------------------------
 
@@ -509,10 +520,13 @@ def substitute_letters(word, mapping):
 
 def _substitute_beside(word, mapping, cofactor):
     """``cofactor * substitute_letters(word, mapping)``, built as one word:
-    the substituted top-level factors go straight in beside the cofactor's."""
+    the substituted top-level factors go straight in beside the cofactor's,
+    sorted before the lookup, so a hit is one lookup."""
     letters = list(cofactor.letters)
     ops = list(cofactor.ops)
     _substitute_into(word, mapping, letters, ops)
+    letters.sort(reverse=True)
+    ops.sort(key=_factor_key, reverse=True)
     return Word(letters, ops)
 
 
@@ -538,5 +552,13 @@ def _substitute_into(word, mapping, letters, ops):
 
 
 def _beside(cofactor, op, word):
-    """The word ``cofactor * op(word)``, built without the word op(word)."""
-    return Word(cofactor.letters, cofactor.ops + (OpApp(op, word),))
+    """The word ``cofactor * op(word)``, built without the word op(word):
+    the new factor goes in at its sorted place, so a hit is one lookup."""
+    f = OpApp(op, word)
+    ops = cofactor.ops
+    if not ops or ops[-1].key >= f.key:
+        return Word(cofactor.letters, ops + (f,))
+    i = len(ops) - 1
+    while i and ops[i - 1].key < f.key:
+        i -= 1
+    return Word(cofactor.letters, ops[:i] + (f,) + ops[i:])

@@ -1,11 +1,14 @@
 import copy
+import math
 import pickle
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from opalg import coeff
 from opalg.cli import format_polynomial, parse_polynomial
 from opalg.coeff import (
     POWER_BITS_CAP, BoundExceeded, InvalidWeight, PoleAtWeight, Scalar, ONE, ZERO,
@@ -335,15 +338,43 @@ def test_one_limit_error():
 def test_general_powers_square_only_as_needed(monkeypatch):
     a = Scalar((1, 1))  # 1 + L: no monomial view
     assert a**5 == a * a * a * a * a
+    want = _ref_pow(a, 4)
     calls = []
-    mul = Scalar.__mul__
+    pmul = coeff._pmul
 
     def counted(x, y):
         calls.append((x, y))
-        return mul(x, y)
+        return pmul(x, y)
 
-    monkeypatch.setattr(Scalar, "__mul__", counted)
+    monkeypatch.setattr(coeff, "_pmul", counted)
+    monkeypatch.setattr(coeff, "_pgcd", None)
     got = a**4
-    # two squarings and one product; no squaring after the last bit
-    assert len(calls) == 3
-    assert got == _ref_pow(a, 4)
+    # two squarings each of the numerator and the denominator, no product
+    # with 1 and no squaring after the last bit; and no gcd, since the
+    # powers of a coprime pair are coprime
+    assert len(calls) == 4
+    assert got == want
+
+
+def test_general_powers_equal_repeated_products():
+    rng = random.Random(23)
+    checked = 0
+    for _ in range(120):
+        a = _random_scalar(rng)
+        if a.monomial is not None:
+            continue
+        for n in range(-3 if a else 0, 7):
+            _assert_same(a**n, _ref_pow(a, n))
+            checked += 1
+    assert checked > 500
+
+
+def test_general_power_costs_its_products_only():
+    # through a gcd per product, this power took about 0.8 s
+    a = (ONE + Scalar.lam()) / (ONE + Scalar.lam(2) + Scalar.lam(3))
+    start = time.perf_counter()
+    got = a**40
+    assert time.perf_counter() - start < 0.2
+    assert got.num == tuple(Fraction(math.comb(40, k)) for k in range(41))
+    assert len(got.den) == 121 and got.den[-1] == 1
+    assert got.specialize(1) == Fraction(2**40, 3**40)

@@ -49,6 +49,24 @@ def test_hurwitz_unit_and_zero():
     assert (f * zero).is_zero()
 
 
+def test_scalar_times_series_goes_through_scale(monkeypatch):
+    # k * series is series.scale(k) looked up when called, so a wrapper on
+    # scale, as the benchmark's tracer installs, counts it too
+    a = HurwitzSeries(RING, W32, (Fraction(1), Fraction(2), Fraction(-1)))
+    calls = []
+    scale = HurwitzSeries.scale
+
+    def counted(self, k):
+        calls.append(k)
+        return scale(self, k)
+
+    monkeypatch.setattr(HurwitzSeries, "scale", counted)
+    got = Fraction(2) * a
+    assert calls == [Fraction(2)]
+    assert got.agrees(a + a)
+    assert (3 * a).agrees(a * 3) and calls == [Fraction(2), 3, 3]
+
+
 def test_hurwitz_product_commutative_associative():
     rng = random.Random(61)
     for _ in range(30):

@@ -473,7 +473,9 @@ def test_rewrite_word_counts(monkeypatch):
             m.setattr(Word, "__init__", counting_init)
             res = normal_form(f, theory.rules)
         counts.append((len(res.poly), len(interned), len(built)))
-    assert counts == [(541, 3735, 4170), (511, 3577, 6644)]
+    # asking every word for all its matches, not for its least one alone,
+    # took (3735, 4170) and (3577, 6644)
+    assert counts == [(541, 3705, 3710), (511, 2263, 3514)]
 
 
 def _fresh_table(monkeypatch, limit=10**9, table=None):
@@ -489,9 +491,13 @@ def _fresh_table(monkeypatch, limit=10**9, table=None):
 
 
 def _memo_entries():
-    return sum(
-        len(w._memo) for w in terms._TABLE.values() if type(w) is Word and w._memo
-    )
+    """(memo entries, lone least matches among them) over the table's words."""
+    entries = [
+        found
+        for w in terms._TABLE.values() if type(w) is Word and w._memo
+        for found in w._memo.values()
+    ]
+    return len(entries), sum(type(found) is Match for found in entries)
 
 
 def _count_level_matches(monkeypatch):
@@ -513,8 +519,11 @@ def test_match_work_counts(monkeypatch):
     res = normal_form(P("p(a)*p(b*b)*p(c)"), RB_THEORY.rules)
     assert len(res.poly) == 13
     # one top-level match per distinct (rule, word), arguments included,
-    # each kept in the word's memo; walking every level of every word took 111
-    assert len(calls) == _memo_entries() == 84
+    # each kept in the word's memo; walking every level of every word took
+    # 111.  The 8 words rewritten hold their least match alone, and the
+    # other 76 entries are [], the answer for every caller
+    assert len(calls) == 84
+    assert _memo_entries() == (84, 8)
     # a word around an already-matched argument costs one top-level match
     rule = RB_THEORY.rule("p_rota_baxter")
     arg = P("p(x)*p(y*y)").leading_word()
@@ -523,6 +532,61 @@ def test_match_work_counts(monkeypatch):
     matches = match_rule(p(arg) * X, rule)
     assert calls == [p(arg) * X]
     assert matches == match_rule_reference(p(arg) * X, rule) and matches
+
+
+def _least_match_corpus(rng):
+    """Seeded words up to size 7; rule instances put into contexts up to
+    depth 2, with bindings that include the unit word; and products of two
+    such instances each under an operator, so that several arguments match
+    and the top level may not."""
+    letters, operators = ("x", "y"), (OP_D, OP_P)
+    words = [random_word(rng, rng.randint(0, 7), letters, operators) for _ in range(150)]
+    instances = []
+    for rule in _RULES:
+        for _ in range(8):
+            binding = {
+                v: random_word(rng, rng.choice((0, 0, 1, 2, 3)), letters, operators)
+                for v in rule.variables
+            }
+            ctx = _random_context(rng, letters, operators)
+            instances.append(ctx.substitute(rule.lhs_instance(binding)))
+    words += instances
+    for _ in range(150):
+        u, v = rng.sample(instances, 2)
+        words.append(u.apply(rng.choice(operators)) * v.apply(rng.choice(operators)))
+    return words
+
+
+def _check_least_matches(words):
+    for m in words:
+        least = [rewrite._least_match(m, rule) for rule in _RULES]
+        for rule, mt in zip(_RULES, least):
+            # the lone least match is then replaced by the full list
+            matches = match_rule(m, rule)
+            assert mt == (matches or [None])[0], (str(m), rule.name)
+            assert rewrite._least_match(m, rule) == mt
+            reference = match_rule_reference(m, rule)
+            assert matches == reference, (str(m), rule.name)
+            assert [x.key for x in matches] == [x.key for x in reference]
+            if mt is not None:
+                assert mt.key == matches[0].key and mt.reduct() == matches[0].reduct()
+
+
+@pytest.mark.parametrize("limit", [10**9, 60])
+def test_least_match_is_the_first_match(monkeypatch, limit):
+    # on a fresh table every word is new, so its least match is found
+    # before any caller asks for all of them; a table of 60 entries is
+    # cleared inside the recursion
+    clears = []
+
+    class Table(dict):
+        def clear(self):
+            clears.append(len(self))
+            super().clear()
+
+    _fresh_table(monkeypatch, limit=limit, table=Table())
+    _check_least_matches(_least_match_corpus(random.Random(61)))
+    assert bool(clears) == (limit == 60)
 
 
 def test_table_clears_mid_recursion_change_no_result(monkeypatch):
@@ -543,20 +607,22 @@ def test_table_clears_mid_recursion_change_no_result(monkeypatch):
             clear_depths.append(depth[0])
             super().clear()
 
-    occurrences = rewrite._occurrences
-
-    def tracked(m, rule, pattern):
-        matched.append(m)
-        depth[0] += 1
-        try:
-            return occurrences(m, rule, pattern)
-        finally:
-            depth[0] -= 1
+    def tracking(match):
+        def tracked(m, *args):
+            matched.append(m)
+            depth[0] += 1
+            try:
+                return match(m, *args)
+            finally:
+                depth[0] -= 1
+        return tracked
 
     # a table this small, fresh so that every word misses it, is cleared
     # inside the match recursion of most words
     _fresh_table(monkeypatch, limit=100, table=Table())
-    monkeypatch.setattr(rewrite, "_occurrences", tracked)
+    # the leading reducer's least matches, and every match for the rest
+    for name in ("_least_occurrence", "_occurrences"):
+        monkeypatch.setattr(rewrite, name, tracking(getattr(rewrite, name)))
     for (theory, text), ref in zip(texts, expected):
         f = P(text)
         lead = f.leading_word()

@@ -323,6 +323,54 @@ def test_one_pass_build_matches_the_reference_formulas(monkeypatch):
     assert calls == []
 
 
+def test_words_built_beside_a_cofactor_are_one_lookup_on_a_hit(monkeypatch):
+    # a product merges its two sorted runs, _beside puts the new factor at
+    # its place and _substitute_beside sorts before its lookup, so a word
+    # already in the table is found by the first lookup
+    class Table(dict):
+        misses = 0
+
+        def get(self, ident, default=None):
+            found = dict.get(self, ident, default)
+            if found is None:
+                self.misses += 1
+            return found
+
+    rng = random.Random(47)
+    letters, operators = ("x", "y", "z"), (OP_D, OP_P)
+    cases = []
+    for _ in range(300):
+        u, v, w = (random_word(rng, rng.randint(0, 5), letters, operators) for _ in range(3))
+        op = rng.choice(operators)
+        mapping = {"x": random_word(rng, rng.randint(0, 3), letters, operators)}
+        image = substitute_letters(w, mapping)
+        cases += [
+            (lambda u=u, v=v: u * v, u.letters + v.letters, u.ops + v.ops),
+            (lambda u=u, op=op, w=w: terms._beside(u, op, w), u.letters, u.ops + (OpApp(op, w),)),
+            (
+                lambda u=u, w=w, mapping=mapping: terms._substitute_beside(w, mapping, u),
+                u.letters + image.letters,
+                u.ops + image.ops,
+            ),
+        ]
+    unsorted = sum(
+        list(letters) != sorted(letters, reverse=True)
+        or list(ops) != sorted(ops, key=lambda f: f.key, reverse=True)
+        for _, letters, ops in cases
+    )
+    assert unsorted > 100
+    table = Table({((), ()): Word.unit()})
+    monkeypatch.setattr(terms, "_TABLE", table)
+    for build, letters, ops in cases:
+        built = build()
+        assert (built.key, built._hash, built.op_degree, built.letter_degree) == (
+            word_fields_reference(letters, ops)
+        )
+        table.misses = 0
+        assert build() is built
+        assert table.misses == 0
+
+
 def test_parsed_and_enumerated_words_are_interned():
     f = parse_polynomial("2*d(p(x)*y)*x + L*p(d(y))*p(d(y)) - d(1) + 3")
     assert all(_is_interned(w) for w in f.monomials())

@@ -114,6 +114,7 @@ opalg.verify_gs(opalg.preset("rb"), VerifyConfig(0, 0, False))
 opalg.enumerate_irr(opalg.preset("drb"), 3, ("x",))
 opalg.check_axioms(HurwitzConstrainedModel(RationalRing(), 2, window=6), samples=2)
 opalg.format_polynomial(opalg.normal_form(opalg.parse_polynomial("d(p(x))*y"), opalg.preset("drb").rules).poly)
+opalg.normal_form(opalg.parse_polynomial("d(p(x))*y"), opalg.preset("drb").rules, strategy="random")
 tracer.on = False
 print(json.dumps(tracer.layer_metrics()))
 """
@@ -141,11 +142,13 @@ def test_benchmark_tracer_installs():
     # series products, so a change that adds products shows here, not as noise
     assert metrics["models.hurwitz_muls"] == 24
     # the matcher's counters for the same round, so a change in what is
-    # matched or reduced shows as a diff; words built may only fall
-    assert metrics["rewrite.match_calls"] == 71
-    assert metrics["rewrite.matches_returned"] == 108
+    # matched or reduced shows as a diff; words built may only fall.  The
+    # leading reducer asks for least matches, not through match_rule, so
+    # the match counters come from the random pass alone
+    assert metrics["rewrite.match_calls"] == 10
+    assert metrics["rewrite.matches_returned"] == 1
     assert metrics["gsbases.compositions"] == 10
-    assert metrics["rewrite.nf_calls"] == 11
+    assert metrics["rewrite.nf_calls"] == 12
     assert metrics["terms.words_built"] <= 1510
 
 
