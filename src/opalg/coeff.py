@@ -9,7 +9,11 @@ therefore structural equality.
 
 Quasi-idempotent operators of weight L only ever produce coefficients c·L^k
 (c rational, k an integer), so each scalar also carries its *monomial view*
-``(c, k)``, or ``None`` when it is not of that form.  Products, sums of equal
+``(c, k)``, or ``None`` when it is not of that form.  The view holds c as an
+``int`` when c is integral, as it almost always is (±1 or another small
+integer), and as a ``Fraction`` with denominator > 1 otherwise, so the fast
+path is machine-integer arithmetic; the dense form is ``Fraction``s
+throughout.  Products, sums of equal
 powers, negation, inversion and powers of monomials are built straight from
 their views, without a polynomial gcd; every other case takes the general
 Q(L) path, where a power raises the coprime numerator and denominator
@@ -187,8 +191,9 @@ def _peval(a, x):
 class Scalar:
     """An element of Q(L), canonical and immutable.
 
-    ``monomial`` is ``(c, k)`` when the value is c·L^k with c ≠ 0, and
-    ``None`` otherwise (zero included).
+    ``monomial`` is ``(c, k)`` when the value is c·L^k with c ≠ 0, c an
+    ``int`` when integral and a ``Fraction`` if not; it is ``None`` for
+    every other value, zero included.
     """
 
     __slots__ = ("_num", "_den", "monomial", "_hash")
@@ -211,7 +216,8 @@ class Scalar:
                 den = _pscale(den, 1 / lead)
         monomial = None
         if num and not any(num[:-1]) and not any(den[:-1]):
-            monomial = (num[-1], len(num) - len(den))
+            c = num[-1]  # a Fraction; the view holds an int when it can
+            monomial = (c.numerator if c.denominator == 1 else c, len(num) - len(den))
         _fill(self, num, den, monomial)
 
     def __setattr__(self, *_):
@@ -240,6 +246,7 @@ class Scalar:
 
     def _densify(self):
         c, k = self.monomial
+        c = Fraction(c) if type(c) is int else c
         if k >= 0:
             _setattr(self, "_num", (_F0,) * k + (c,))
             _setattr(self, "_den", (_F1,))
@@ -251,12 +258,14 @@ class Scalar:
 
     @classmethod
     def from_rational(cls, p, q=1):
+        if type(p) is int and q == 1:
+            return _from_monomial(p, 0)
         return _from_monomial(Fraction(p, q), 0)
 
     @classmethod
     def lam(cls, power=1):
         """The monomial L**power; negative powers give 1/L**(-power)."""
-        return _from_monomial(_F1, power)
+        return _from_monomial(1, power)
 
     # -- predicates ---------------------------------------------------------
 
@@ -302,7 +311,8 @@ class Scalar:
     def inverse(self):
         a = self.monomial
         if a is not None:
-            return _from_monomial(1 / a[0], -a[1])
+            c = a[0]
+            return _from_monomial(c if c == 1 or c == -1 else _F1 / c, -a[1])
         if not self._num:
             raise ZeroDivisionError("inverse of zero scalar")
         return Scalar(self._den, self._num)
@@ -323,11 +333,12 @@ class Scalar:
         a = self.monomial
         if a is not None:
             _check_bits(abs(n) * _bits(a[0]))
-            return _from_monomial(a[0] ** n, a[1] * n)
-        if self._num:
+        elif self._num:
             _check_bits(n * n * sum(1 + _bits(q) for q in self._num + self._den))
-        if n < 0:
+        if n < 0:  # through the inverse: an int to a negative power is a float
             return self.inverse() ** (-n)
+        if a is not None:
+            return _from_monomial(a[0] ** n, a[1] * n)
         if not n:
             return ONE
         if not self._num:
@@ -423,10 +434,13 @@ def _fill(s, num, den, monomial):
 
 
 def _from_monomial(c, k):
-    """c·L^k (c a Fraction) stored as its view alone; ``ZERO`` when c is
-    zero.  The dense form is the general path's, built on first read."""
+    """c·L^k (c an int or a Fraction) stored as its view alone, c as an
+    ``int`` when integral; ``ZERO`` when c is zero.  The dense form is the
+    general path's, built on first read."""
     if not c:
         return ZERO
+    if type(c) is not int and c.denominator == 1:
+        c = c.numerator
     s = object.__new__(Scalar)
     _fill(s, None, None, (c, k))
     return s

@@ -399,14 +399,23 @@ def _instantiate(rule, binding):
 
 
 def pair_reports(theory, left, right, cfg):
-    """All compositions of one ordered rule pair under the scenario family."""
+    """All compositions of one ordered rule pair under the scenario family.
+
+    Each report is kept with the first scenario that yields it.  A kind of
+    composition asked again for the same pair of instances is skipped: its
+    reports would differ only in their scenario, and every one is kept
+    already."""
     f_rule = theory.rule(left) if isinstance(left, str) else left
     g_rule = theory.rule(right) if isinstance(right, str) else right
     rules = theory.rules
+    asked = set()
     found = {}
 
-    def record(reports):
-        for r in reports:
+    def record(compositions, f_inst, g_inst, scenario):
+        if (compositions, f_inst, g_inst) in asked:
+            return
+        asked.add((compositions, f_inst, g_inst))
+        for r in compositions(f_inst, g_inst, f_rule.name, g_rule.name, scenario):
             key = (r.sort_token, r.f_inst, r.g_inst)
             if key in found:
                 continue
@@ -425,16 +434,8 @@ def pair_reports(theory, left, right, cfg):
             g_inst = _instantiate(g_rule, g_binding)
             scenario = {"f": _fmt_binding(f_binding), "g": _fmt_binding(g_binding)}
             if f_inst != g_inst:
-                record(
-                    intersection_compositions(
-                        f_inst, g_inst, f_rule.name, g_rule.name, scenario
-                    )
-                )
-            record(
-                including_compositions(
-                    f_inst, g_inst, f_rule.name, g_rule.name, scenario
-                )
-            )
+                record(intersection_compositions, f_inst, g_inst, scenario)
+            record(including_compositions, f_inst, g_inst, scenario)
 
     # wrapped scenarios: one f-variable receives the g-instance leading word
     # wrapped in a context from the bounded family
@@ -463,11 +464,7 @@ def pair_reports(theory, left, right, cfg):
                             "g": _fmt_binding(g_binding),
                             "wrap": str(q),
                         }
-                        record(
-                            including_compositions(
-                                f_inst, g_inst, f_rule.name, g_rule.name, scenario
-                            )
-                        )
+                        record(including_compositions, f_inst, g_inst, scenario)
 
     out = list(found.values())
     out.sort(key=lambda r: r.sort_token)

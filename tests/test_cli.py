@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -328,6 +329,11 @@ GOLDEN_RB_RANDOM_JSON = r'''{
 '''
 
 
+# computed with every coefficient of a monomial view held as a Fraction
+VERIFY_JSON_SHA256 = "fbd676dbe5786ae7a5f4aabb6b11bf16a30b2cc046365f6adf1d573544a95ebb"
+NF_JSON_TRACE_SHA256 = "f424accef285e9778789cb035a4a42fb0c69df78b9635801364ed4cd1512f222"
+
+
 def test_cli_nf_golden_json(capsys):
     code, out, _ = _run(capsys, ["nf", "--theory", "drb", "--json", "d(p(x))*y*p(p(y))"])
     assert code == 0 and out == GOLDEN_DRB_JSON
@@ -344,6 +350,52 @@ def test_cli_nf_golden_random_json(capsys):
         ["nf", "--theory", "rb", "--strategy", "random", "--seed", "3", "--json", "p(x)*p(y)*p(x*y)"],
     )
     assert code == 0 and out == GOLDEN_RB_RANDOM_JSON
+
+
+def _cli_digest(capsys, argvs):
+    """sha256 over each command's argv, exit code, stdout and stderr."""
+    h = hashlib.sha256()
+    for argv in argvs:
+        h.update(repr((argv, *_run(capsys, argv))).encode())
+    return h.hexdigest()
+
+
+def test_cli_verify_json_is_byte_identical(capsys):
+    # rb passes, d and drb fail: exit codes 0, 1, 1, with and without unit
+    argvs = [
+        ["verify", "--theory", name, "--depth", "1", "--cofactors", "1", "--json", *unit]
+        for name in ("rb", "d", "drb")
+        for unit in ((), ("--with-unit",))
+    ]
+    assert _cli_digest(capsys, argvs) == VERIFY_JSON_SHA256
+
+
+# general Q(L) coefficients beside the monomial ones c·L^k
+_NF_COEFFICIENTS = ("1", "-1", "3", "L", "-L^-1", "1/2", "-2/3*L^2", "(L+1)/(L^2-2)", "(2*L-1)/(L+3)")
+
+
+def _nf_corpus():
+    rng = random.Random(24)
+    texts = [
+        ("drb", "(L+1)/(L^2-2)*x + 1/2*d(x)"),
+        ("d", "1/2*d(x)*d(y) - (L+1)/(L^2-2)*d(d(x))"),
+        ("rb", "(L+1)/(L^2-2)*p(x)*p(y) + 1/2*p(p(x))"),
+    ]
+    for name in ("rb", "d", "drb"):
+        for _ in range(8):
+            f = random_polynomial(rng, 5, ("x", "y"), PRESETS[name].operators)
+            c = rng.choice(_NF_COEFFICIENTS)
+            texts.append((name, f"({c})*({format_polynomial(f)})"))
+    return texts
+
+
+def test_cli_nf_json_trace_is_byte_identical(capsys):
+    argvs = [
+        ["nf", "--theory", name, "--strategy", strategy, "--seed", str(i), "--json", "--trace", text]
+        for i, (name, text) in enumerate(_nf_corpus())
+        for strategy in ("leading", "random")
+    ]
+    assert _cli_digest(capsys, argvs) == NF_JSON_TRACE_SHA256
 
 
 def test_cli_cmp(capsys):

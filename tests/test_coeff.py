@@ -165,8 +165,16 @@ def _assert_same(got, ref):
     assert all(type(c) is Fraction for c in got.num + got.den)
     assert hash(got) == hash(ref) == hash((ref.num, ref.den))
     assert got.monomial == ref.monomial == _view_by_scan(ref)
-    if got.monomial is not None:
-        assert type(got.monomial[0]) is Fraction
+    _assert_canonical_view(got)
+
+
+def _assert_canonical_view(s):
+    """The view's coefficient is an int exactly when it is integral, and
+    otherwise a Fraction with denominator > 1: never a bool or a float."""
+    if s.monomial is not None:
+        c = s.monomial[0]
+        assert type(c) in (int, Fraction)
+        assert (type(c) is int) == (c.denominator == 1)
 
 
 _RATIONALS = st.fractions(min_value=-12, max_value=12, max_denominator=12)
@@ -224,6 +232,49 @@ def test_fast_path_constructors_match_general_path(p, q, k):
     _assert_same(Scalar.from_rational(Fraction(p, q)), ref)
     _assert_same(Scalar.lam(k), _ref_lam(k))
     _assert_same(Scalar.from_rational(p, q) * Scalar.lam(k), _ref_mul(ref, _ref_lam(k)))
+
+
+def test_integral_views_hold_ints():
+    for s in (
+        Scalar((Fraction(6, 2),)), Scalar((6,), (2,)), Scalar.from_rational(6, 2),
+        Scalar.from_rational(Fraction(6, 2)), Scalar.from_rational(True), ONE,
+        Scalar.lam(-3), Scalar.from_rational(-1, 2).inverse(), Scalar.from_rational(-1) ** -3,
+        Scalar.from_rational(1, 2) + Scalar.from_rational(1, 2),
+    ):
+        assert type(s.monomial[0]) is int, s
+    assert Scalar.from_rational(True).monomial == (1, 0)
+    assert Scalar.from_rational(6, 2).monomial == (3, 0)
+    # a negative power or an inverse of an integral coefficient is a Fraction
+    assert Scalar.from_rational(2).inverse().monomial == (Fraction(1, 2), 0)
+    assert Scalar.from_rational(-2) ** -3 == Scalar.from_rational(-1, 8)
+    assert type((Scalar.from_rational(2) ** -3).monomial[0]) is Fraction
+    # the dense form, str and specialize are Fractions as before
+    three = Scalar.from_rational(3) * Scalar.lam(2)
+    assert three.num == (0, 0, Fraction(3)) and all(type(c) is Fraction for c in three.num)
+    assert str(three) == "3*L^2" and type(three.specialize(2)) is Fraction
+
+
+@given(
+    st.integers(min_value=-50, max_value=50), st.integers(min_value=1, max_value=50),
+    _POWERS, st.booleans(), _NONZERO, st.integers(min_value=1, max_value=4),
+)
+def test_views_stay_canonical(p, q, k, flag, w, n):
+    built = [
+        Scalar((Fraction(p, q),)), Scalar.from_rational(p, q), Scalar.from_rational(p * q, q),
+        Scalar.from_rational(Fraction(p, q)), Scalar.from_rational(flag),
+    ]
+    built = [s * Scalar.lam(k) for s in built] + built
+    for s in list(built):
+        built.append(pickle.loads(pickle.dumps(s)))
+        if s:
+            built += [s.inverse(), s**-n, s**n]
+    for s in built:
+        _assert_canonical_view(s)
+        assert type(s) is Scalar
+        if s:
+            assert type(s.specialize(w)) is Fraction
+        assert all(type(c) is Fraction for c in s.num + s.den)
+        _assert_same(s, Scalar(s.num, s.den))
 
 
 @given(_SCALARS.filter(bool), st.randoms(use_true_random=False))

@@ -221,6 +221,23 @@ def test_pair_reports_single_pair():
     assert {r.kind for r in reports} == {"including"}
 
 
+def test_each_composition_is_asked_for_once(monkeypatch):
+    # on the benchmark's verify plan; a kind of composition asked again for
+    # the same pair of instances yields only reports kept already, and
+    # asking every time took 980 calls
+    calls = []
+    find = gsbases.find_occurrences
+
+    def counted(word, target):
+        calls.append((word, target))
+        return find(word, target)
+
+    monkeypatch.setattr(gsbases, "find_occurrences", counted)
+    for theory, with_unit in ((RB, True), (D, True), (DRB, False)):
+        verify_gs(theory, VerifyConfig(1, 1, with_unit))
+    assert len(calls) == 704
+
+
 def test_enumerate_words_matches_bruteforce():
     for bound in range(5):
         engine = enumerate_words(bound, ("x",), (OP_D, OP_P))

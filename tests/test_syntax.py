@@ -1,12 +1,14 @@
 """The term parser against the one-polynomial-per-atom reference parser."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from opalg import coeff, poly, syntax, terms
-from opalg.gsbases import preset
+from opalg import coeff, gsbases, poly, syntax, terms
+from opalg.gsbases import VerifyConfig, preset, verify_gs
+from opalg.rewrite import normal_form
 from opalg.sampling import random_polynomial
 from opalg.syntax import (
     WORD_CAP,
@@ -156,6 +158,52 @@ def test_parse_counts_on_nf_batch_corpus(monkeypatch):
         parse_polynomial(text)
     assert len(texts) == 2400
     assert counts == {"polynomials": 2400, "scalar_muls": 2144, "words": 7684}
+
+
+def _count_fractions(monkeypatch, run):
+    """How many Fractions ``run()`` constructs."""
+    built = [0]
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built[0] += 1
+        return new(cls, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(Fraction, "__new__", staticmethod(counted))
+        run()
+    return built[0]
+
+
+def test_fraction_counts_on_the_verify_plan(monkeypatch):
+    """Integral coefficients stay ints: 12,971 Fractions when every view held
+    one.  The rules are built afresh, so no earlier test has densified their
+    coefficients; the 20 left are dense forms built for polynomial hashes."""
+    presets = gsbases._build_presets()
+    plan = (("rb", VerifyConfig(1, 1, True)), ("d", VerifyConfig(1, 1, True)),
+            ("drb", VerifyConfig(1, 1, False)))
+
+    def run():
+        for name, cfg in plan:
+            verify_gs(presets[name], cfg)
+
+    assert _count_fractions(monkeypatch, run) == 20
+
+
+def test_fraction_counts_on_nf_batch_corpus(monkeypatch):
+    """Parse, reduce with both strategies and print the nf-batch corpus:
+    57,065 Fractions when every view held one."""
+    texts = _nf_batch_texts(1)
+    presets = gsbases._build_presets()
+    theories = [presets[name] for name in ("d", "rb", "drb") for _ in range(800)]
+
+    def run():
+        for i, (theory, text) in enumerate(zip(theories, texts)):
+            for strategy in ("leading", "random"):
+                f = parse_polynomial(text)
+                format_polynomial(normal_form(f, theory.rules, strategy=strategy, seed=i).poly)
+
+    assert _count_fractions(monkeypatch, run) == 22379
 
 
 def test_term_factors_past_the_size_cap_are_refused_before_building(monkeypatch):
