@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage or syntax error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import re
 import sys
@@ -108,6 +109,8 @@ def ruleset_from_dict(data, name="user"):
             raise RuleValidationError(f"rule variables shadow other names: {sorted(clash)}")
         poly = parse_polynomial(_field(spec, "polynomial", str), operators)
         rule = RuleSchema(_field(spec, "name", str), variables, poly)
+        if any(r.name == rule.name for r in rules):
+            raise RuleValidationError("rule names must be distinct")
         rule.check_order_compatible(generators or ("x", "y"), operators)
         rules.append(rule)
     return TheoryPreset(name, tuple(rules), operators)
@@ -177,7 +180,7 @@ def _report_json(r):
 def _verify_json(rep):
     return {
         "theory": rep.theory,
-        "config": rep.config.as_dict(),
+        "config": dataclasses.asdict(rep.config),
         "ambiguities": [_report_json(r) for r in rep.reports],
         "pass": rep.passed,
     }

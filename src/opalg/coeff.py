@@ -140,8 +140,6 @@ def _pmul(a, b):
 
 
 def _pscale(a, k):
-    if not k:
-        return ()
     return tuple(c * k for c in a)
 
 
@@ -161,11 +159,9 @@ def _pdivmod(a, b):
 
 
 def _pgcd(a, b):
-    # monic gcd; gcd((), b) = monic b
+    # monic gcd of two polynomials not both zero; gcd((), b) = monic b
     while b:
         a, b = b, _pdivmod(a, b)[1]
-    if not a:
-        return ()
     return _pscale(a, 1 / a[-1])
 
 

@@ -298,12 +298,9 @@ class VerifyConfig:
     context_cofactors: int = 2
     with_unit: bool = False
 
-    def as_dict(self):
-        return {
-            "context_depth": self.context_depth,
-            "context_cofactors": self.context_cofactors,
-            "with_unit": self.with_unit,
-        }
+    def __post_init__(self):
+        if self.context_depth < 0 or self.context_cofactors < 0:
+            raise ValueError("verification bounds must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -401,26 +398,26 @@ def _instantiate(rule, binding):
 def pair_reports(theory, left, right, cfg):
     """All compositions of one ordered rule pair under the scenario family.
 
-    Each report is kept with the first scenario that yields it.  A kind of
-    composition asked again for the same pair of instances is skipped: its
-    reports would differ only in their scenario, and every one is kept
-    already."""
+    The set of calls asked for, each a kind of composition and a pair of
+    instances, is the one registry: a call asked again is skipped, so each
+    report comes with the first scenario that yields it.  No report can
+    then repeat another: one intersection call yields one report per common
+    sub-multiset o, each with its own mu; one including call yields one per
+    occurrence context; and reports of distinct calls differ in their
+    instances or in the kind that their sort token holds."""
     f_rule = theory.rule(left) if isinstance(left, str) else left
     g_rule = theory.rule(right) if isinstance(right, str) else right
     rules = theory.rules
     asked = set()
-    found = {}
+    found = []
 
     def record(compositions, f_inst, g_inst, scenario):
         if (compositions, f_inst, g_inst) in asked:
             return
         asked.add((compositions, f_inst, g_inst))
         for r in compositions(f_inst, g_inst, f_rule.name, g_rule.name, scenario):
-            key = (r.sort_token, r.f_inst, r.g_inst)
-            if key in found:
-                continue
             trivial, steps, nf = check_triviality(r.composition, rules, r.ambiguity)
-            found[key] = replace(r, trivial=trivial, normal_form=nf, steps=steps)
+            found.append(replace(r, trivial=trivial, normal_form=nf, steps=steps))
 
     # plain scenarios: f on fresh letters, g sharing f's letters or fresh
     f_base = [Word.letter(l) for l in _F_LETTERS[: len(f_rule.variables)]]
@@ -450,9 +447,7 @@ def pair_reports(theory, left, right, cfg):
             gbar = g_inst.leading_word()
             for carrier in range(len(f_rule.variables)):
                 others = [v for k, v in enumerate(f_rule.variables) if k != carrier]
-                other_menus = list(
-                    _binding_menus(tuple(others), _SPARE, (), cfg.with_unit)
-                ) or [{}]
+                other_menus = list(_binding_menus(others, _SPARE, (), cfg.with_unit))
                 for q in contexts:
                     wrapped = q.substitute(gbar)
                     for others_binding in other_menus:
@@ -466,9 +461,8 @@ def pair_reports(theory, left, right, cfg):
                         }
                         record(including_compositions, f_inst, g_inst, scenario)
 
-    out = list(found.values())
-    out.sort(key=lambda r: r.sort_token)
-    return out
+    found.sort(key=lambda r: r.sort_token)
+    return found
 
 
 def _fmt_binding(binding):
@@ -478,8 +472,6 @@ def _fmt_binding(binding):
 def verify_gs(theory, cfg=None):
     """Check every ordered rule pair; pass iff every composition is trivial."""
     cfg = cfg or VerifyConfig()
-    if cfg.context_depth < 0 or cfg.context_cofactors < 0:
-        raise ValueError("verification bounds must be nonnegative")
     reports = []
     for f_rule in theory.rules:
         for g_rule in theory.rules:

@@ -121,6 +121,8 @@ class RuleSchema:
         if lhs.is_unit():
             raise RuleValidationError(f"rule {name}: pattern is the unit word")
         varset = frozenset(variables)
+        if len(varset) != len(variables):
+            raise RuleValidationError(f"rule {name}: variable names must be distinct")
         for v in varset:
             if _letter_count(lhs, v) != 1:
                 raise RuleValidationError(

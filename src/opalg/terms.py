@@ -362,8 +362,6 @@ def _tuple_subtract(a, b):
     if ib < lb:
         return None
     out.extend(a[ia:])
-    if len(out) != la - lb:
-        return None
     return tuple(out)
 
 

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 import time
@@ -332,6 +333,9 @@ GOLDEN_RB_RANDOM_JSON = r'''{
 # computed with every coefficient of a monomial view held as a Fraction
 VERIFY_JSON_SHA256 = "fbd676dbe5786ae7a5f4aabb6b11bf16a30b2cc046365f6adf1d573544a95ebb"
 NF_JSON_TRACE_SHA256 = "f424accef285e9778789cb035a4a42fb0c69df78b9635801364ed4cd1512f222"
+# computed while the reports of a rule pair were also deduplicated by key
+VERIFY_COMPLETIONS_JSON_SHA256 = "9348f13deb4c991f5e34c6cb160d2c6fac60417ba671fbfb59b86e1b931e7433"
+COMPOSE_JSON_SHA256 = "247eb9a525245e24eb14de093820188227d4d49c9abb63e0c7f93e98df6f351e"
 
 
 def test_cli_nf_golden_json(capsys):
@@ -368,6 +372,29 @@ def test_cli_verify_json_is_byte_identical(capsys):
         for unit in ((), ("--with-unit",))
     ]
     assert _cli_digest(capsys, argvs) == VERIFY_JSON_SHA256
+
+
+def test_cli_verify_json_completions_are_byte_identical(capsys):
+    # the completions pass and d+d1 fails, with and without unit
+    argvs = [
+        ["verify", "--theory", name, "--depth", "1", "--cofactors", "1", "--json", *unit]
+        for name in ("d-gs", "drb-gs", "d+d1")
+        for unit in ((), ("--with-unit",))
+    ]
+    assert _cli_digest(capsys, argvs) == VERIFY_COMPLETIONS_JSON_SHA256
+
+
+def test_cli_compose_json_is_byte_identical(capsys):
+    # a symmetric pair, whose scenarios ask for some calls again (76 reports),
+    # and a cross pair
+    argvs = [
+        ["compose", "--theory", theory, "--left", left, "--right", right, "--json", "--with-unit"]
+        for theory, left, right in (
+            ("d-gs", "d_leibniz", "d_leibniz"),
+            ("drb", "d_after_p", "p_quasi_idem"),
+        )
+    ]
+    assert _cli_digest(capsys, argvs) == COMPOSE_JSON_SHA256
 
 
 # general Q(L) coefficients beside the monomial ones c·L^k
@@ -730,6 +757,15 @@ _BAD_INPUT_MESSAGES = {
     "compose --theory rb --left nope --right p_quasi_idem":
         "error: theory rb has no rule 'nope'\n",
     "model-eval --assign x=1 y": "error: no value assigned to the generator 'y'\n",
+    "verify --depth -1": "error: verification bounds must be nonnegative\n",
+    "compose --left d_after_p --right p_quasi_idem --depth -1":
+        "error: verification bounds must be nonnegative\n",
+    "compose --left d_after_p --right p_quasi_idem --cofactors -2 --depth 3":
+        "error: verification bounds must be nonnegative\n",
+    "compose --theory {tmp}/rule-twice.json --left collapse --right collapse":
+        "error: rule names must be distinct\n",
+    "nf --theory {tmp}/variable-twice.json x":
+        "error: rule collapse: variable names must be distinct\n",
 }
 
 _BAD_RULESETS = {
@@ -757,6 +793,9 @@ _BAD_RULESETS = {
     "variable-shadows.json": dict(
         RULESET, rules=[dict(RULESET["rules"][0], variables=["x"], polynomial="d(p(x)) - x")]
     ),
+    # a repeated rule name, a repeated variable name
+    "rule-twice.json": dict(RULESET, rules=RULESET["rules"] * 2),
+    "variable-twice.json": dict(RULESET, rules=[dict(RULESET["rules"][0], variables=["u", "u"])]),
 }
 
 
@@ -791,6 +830,13 @@ _BAD_RULESETS = {
         ["model-eval", "--assign", "x=1", "y"],
         # an assignment with no value
         ["model-eval", "--assign", "x", "x"],
+        # negative verification bounds, for compose as for verify
+        ["verify", "--depth", "-1"],
+        ["compose", "--left", "d_after_p", "--right", "p_quasi_idem", "--depth", "-1"],
+        ["compose", "--left", "d_after_p", "--right", "p_quasi_idem", "--cofactors", "-2",
+         "--depth", "3"],
+        # two rules of one name: neither may stand for the other
+        ["compose", "--theory", "{tmp}/rule-twice.json", "--left", "collapse", "--right", "collapse"],
     ],
     ids=" ".join,
 )
@@ -804,6 +850,34 @@ def test_cli_bad_input_exit_2(tmp_path, capsys, argv):
     expected = _BAD_INPUT_MESSAGES.get(" ".join(argv))
     if expected is not None:
         assert err == expected
+
+
+def _readme_examples():
+    """(argv, stated result) for each command of the README's "Command line"
+    block that states one: ``# -> text`` for its stdout, ``# exits N`` for
+    its exit code."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        comment = comment.strip()
+        if comment.startswith("-> "):
+            examples.append((shlex.split(command)[1:], comment[3:]))
+        elif comment.startswith("exits "):
+            examples.append((shlex.split(command)[1:], int(comment.split()[1].rstrip(","))))
+    return examples
+
+
+def test_readme_examples_state_their_results(capsys):
+    examples = _readme_examples()
+    assert len(examples) >= 4
+    for argv, stated in examples:
+        code, out, err = _run(capsys, argv)
+        if isinstance(stated, int):
+            assert code == stated, (argv, err)
+        else:
+            assert (code, out.strip()) == (0, stated), argv
 
 
 def test_module_entry_point_without_asserts():

@@ -177,10 +177,14 @@ def test_rb_verifies_completely():
 
 
 def test_gs_verified_flags_match_verification():
-    # ideal_member answers only for a preset whose flag is set
+    # ideal_member answers only for a preset whose flag is set; and no
+    # composition is reported twice, whichever scenarios lead to it
     assert len(PRESETS) == 6
-    for name, theory in PRESETS.items():
-        assert theory.gs_verified == verify_gs(theory, VerifyConfig(1, 1, True)).passed, name
+    for theory in (*PRESETS.values(), broken_rb()):
+        rep = verify_gs(theory, VerifyConfig(1, 1, True))
+        assert theory.gs_verified == rep.passed, theory.name
+        keys = [(r.sort_token, r.f_inst, r.g_inst) for r in rep.reports]
+        assert len(set(keys)) == len(keys), theory.name
     assert {name for name, t in PRESETS.items() if t.gs_verified} == {"rb", "d-gs", "drb-gs"}
     assert ideal_member(P("p(x)*p(y) - p(x*p(y)) - p(p(x)*y) - L*p(x*y)"), RB)
 
@@ -236,6 +240,13 @@ def test_each_composition_is_asked_for_once(monkeypatch):
     for theory, with_unit in ((RB, True), (D, True), (DRB, False)):
         verify_gs(theory, VerifyConfig(1, 1, with_unit))
     assert len(calls) == 704
+
+
+def test_verify_config_refuses_negative_bounds():
+    # checked where the config is made, so compose (pair_reports) is covered too
+    for bounds in ((30, -2), (-1, 1), (-1, -1)):
+        with pytest.raises(ValueError, match="verification bounds must be nonnegative"):
+            VerifyConfig(*bounds)
 
 
 def test_enumerate_words_matches_bruteforce():

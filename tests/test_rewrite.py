@@ -218,6 +218,13 @@ def test_rule_validation_rejects_bare_toplevel_variable():
         RuleSchema("bad", ("u",), OpPolynomial(((u * d(X), coeff.ONE),)))
 
 
+def test_rule_validation_rejects_repeated_variable():
+    # a name listed twice would be bound twice, and the last binding would win
+    u = Word.letter("u")
+    with pytest.raises(RuleValidationError, match="variable names must be distinct"):
+        RuleSchema("bad", ("u", "u"), OpPolynomial(((d(p(u)), coeff.ONE), (u, -coeff.ONE))))
+
+
 def _order_incompatible_rule():
     # p(d(v)*u) leads p(d(u)*v) as a pattern, but a large u flips the instance order
     u, v = Word.letter("u"), Word.letter("v")
