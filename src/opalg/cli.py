@@ -338,6 +338,8 @@ def _cmd_model_eval(args):
         name, _, value = item.partition("=")
         if not value:
             raise ParseError(f"bad assignment {item!r}", 0)
+        if name in assignment:
+            raise ValueError(f"the generator {name!r} is assigned more than once")
         seed = Fraction(value)
         if args.model == "hurwitz":
             assignment[name] = constrained_series(

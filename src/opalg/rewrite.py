@@ -23,29 +23,28 @@ a bare variable alone binds the argument word itself.
 The levels are walked by structure: the matches in a word are those at its
 top level, plus, for each distinct operator factor f, the matches in f's
 argument with the context grown by one level (the operator, and the word
-without f as the sibling).  Each word keeps its own matches in its memo
-slot (``Word._memo``), one entry per rule: the sorted list of every match
-once a caller has asked for them all (``match_rule``), the least match
-alone while only the leading reducer has asked (``_least_match``), or
-``[]`` when the rule does not match, which answers both.  Its arguments
+without f as the sibling).  Each word keeps, per rule, one sorted stream of
+its matches in its memo slot (``Word._memo``), built only as far as some
+caller has read it (``_Stream``): the leading reducer and
+``is_irreducible`` read the first match, ``match_rule`` reads to the end,
+and ``find_occurrences`` reads a stream that is not kept.  Its arguments
 are words too, so a word built around already-matched arguments costs one
-top-level match.  The least match is built alone: every top-level match
-sorts before every match in an argument, so the arguments are walked only
-when the top level has none, and the top-level matches are compared
-without building their cofactors.  The memos live and die with the word
-table of ``opalg.terms``: its bound is theirs, and its clear drops them.
-A match grown by one level takes its context key and binding key from the
-inner match rather than rebuilding them, and so does its reduct, the
-rule's right-hand side instantiated in the context: each word of the inner
-reduct is wrapped in the operator beside the sibling, built as one word.
-A reduct is built on first use and kept with the match.
+top-level match.  The memos live and die with the word table of
+``opalg.terms``: its bound is theirs, and its clear drops them.  A match
+grown by one level takes its context key and binding key from the inner
+match rather than rebuilding them, and so does its reduct, the rule's
+right-hand side instantiated in the context: each word of the inner reduct
+is wrapped in the operator beside the sibling, built as one word.  A reduct
+is built on first use and kept with the match.
 """
 
 from __future__ import annotations
 
 import bisect
 import random
+import threading
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from operator import attrgetter
 
 from .coeff import BoundExceeded
@@ -325,16 +324,15 @@ def _match_exact(level, target, binding):
     if bare is None:
         if rest or len(pat_ops) != len(ops):
             return ()
-        found = []
-        _assign_ops(pat_ops, 0, ops, binding, 0, found)
-        return [bnd for bnd, _ in found]
-    if not pat_ops:
+    elif not pat_ops:
         # a bare variable alone binds the argument itself
         return ({**binding, bare: Word(rest, ops) if concrete else target},)
-    if len(pat_ops) > len(ops):
+    elif len(pat_ops) > len(ops):
         return ()
     found = []
     _assign_ops(pat_ops, 0, ops, binding, 0, found)
+    if bare is None:
+        return [bnd for bnd, _ in found]
     return [{**bnd, bare: Word(rest, _unused(ops, used))} for bnd, used in found]
 
 
@@ -371,7 +369,7 @@ def _assign_ops(pat_ops, j, target_ops, binding, used, out):
 def _match_at_level(pattern, level):
     """(binding, used) pairs matching a compiled pattern into the top level
     of a word, used being the bitmask of the level's operator factors that
-    the pattern takes; ``_leftover`` builds the rest of the level."""
+    the pattern takes: the rest of the level is the match's cofactor."""
     concrete, _, pat_ops = pattern
     ops = level.ops
     if len(pat_ops) > len(ops) or _tuple_subtract(level.letters, concrete) is None:
@@ -379,12 +377,6 @@ def _match_at_level(pattern, level):
     found = []
     _assign_ops(pat_ops, 0, ops, {}, 0, found)
     return found
-
-
-def _leftover(pattern, level, used):
-    """The factors of level that a top-level match of pattern, taking the
-    operator factors in the bitmask used, leaves: the match's cofactor."""
-    return Word(_tuple_subtract(level.letters, pattern[0]), _unused(level.ops, used))
 
 
 _arg_degree = attrgetter("arg.op_degree")
@@ -402,95 +394,104 @@ def _cofactor_key(ops, used):
     return sum(map(_arg_degree, unused)), tuple(map(_arg_key, unused))
 
 
-def _occurrences(m, rule, pattern):
-    """The matches of a compiled pattern in m, sorted by ``Match.key``:
-    those at the top level, then those in each distinct operator argument
-    wrapped in one more level (m without the factor, its operator).  The
-    argument's matches come from ``_matches``, or uncached from this
-    function if rule is None.
+class _Stream(list):
+    """The matches of a rule in one word, sorted by ``Match.key`` and built
+    as far as a caller has read (``_grow``).  A top-level match sorts before
+    every wrapped one, since its context key holds no operator: the least
+    comes first, built alone, then the rest of the level (``_top``), then a
+    merge of the distinct arguments' streams, each wrapped in one more
+    level, which keeps their order.  ``_heap`` (None until the top level is
+    spent) holds one entry per argument that matches, its next match and
+    the position after it; the entry taken last (``_last``) is refilled
+    only when the next match is asked for.  The slots are set by the first
+    read; every rule that does not match a word shares the empty ``_NONE``.
     """
-    out = [
-        Match(rule, Context.top(_leftover(pattern, m, used)), binding)
-        for binding, used in _match_at_level(pattern, m)
-    ]
-    seen = None
+
+    __slots__ = ("_top", "_heap", "_last")
+
+
+_NONE = _Stream()
+_READING = threading.Lock()
+
+
+def _stream(m, rule, pattern):
+    """The stream of pattern's matches in m, its least match built: kept
+    in m's memo per rule, or unkept if rule is None."""
+    memo = m._memo if rule is not None else {}
+    if memo is None:
+        memo = {}
+        object.__setattr__(m, "_memo", memo)
+    stream = memo.get(rule)
+    if stream is None:
+        stream = _Stream()
+        if not _grow(stream, m, rule, pattern):
+            stream = _NONE
+        # a table clear inside the recursion drops memo from m, so the
+        # entry is then not kept
+        memo[rule] = stream
+    return stream
+
+
+def _grow(stream, m, rule, pattern):
+    """Append the next matches to stream, the stream of pattern in m;
+    False when it holds them all.  The top-level matches are ordered by
+    their cofactors without building them (they share their letters), then
+    by their bindings.  ``_assign_ops`` never passes over a free factor for
+    a later identical one, so distinct masks leave distinct cofactors."""
     ops = m.ops
-    for i, f in enumerate(ops):
-        if f == seen:
-            continue
-        seen = f
-        if rule is None:
-            inner = _occurrences(f.arg, None, pattern)
+    if not stream or stream._top:
+        found = _match_at_level(pattern, m)
+        if stream:
+            found.sort(key=lambda c: (_cofactor_key(ops, c[1]), _binding_key(c[0])))
+            del found[0]
         else:
-            inner = _matches(f.arg, rule)
-        if inner:
-            sibling = Word(m.letters, ops[:i] + ops[i + 1:])
-            out.extend(mt.wrap(sibling, f.op) for mt in inner)
-    out.sort(key=_key)
-    return out
-
-
-def _least_occurrence(m, rule):
-    """The first match of ``_occurrences(m, rule, rule.pattern)``, or None,
-    built alone.  A top-level match sorts before every wrapped one, since
-    its context key holds no operator, so the arguments are walked only
-    when the top level has no match.  There the cofactors decide, then the
-    bindings; ``_assign_ops`` never passes over a free factor for a later
-    identical one, so distinct masks leave distinct cofactors, and only the
-    bindings of the least mask are compared.  Wrapping beside one sibling
-    keeps the inner order, so the least wrapped match is the least of the
-    distinct arguments' least matches, each wrapped.
-    """
-    pattern = rule.pattern
-    ops = m.ops
-    found = _match_at_level(pattern, m)
-    if found:
-        binding, used = found[0]
-        if len(found) > 1:
+            stream._heap = stream._last = None
+        stream._top = not stream and len(found) > 1
+        if stream._top:
             used = min({u for _, u in found}, key=lambda u: _cofactor_key(ops, u))
-            binding = min((b for b, u in found if u == used), key=_binding_key)
-        return Match(rule, Context.top(_leftover(pattern, m, used)), binding)
-    least = None
-    seen = None
-    for i, f in enumerate(ops):
-        if f == seen:
-            continue
-        seen = f
-        inner = _least_match(f.arg, rule)
-        if inner is not None:
-            mt = inner.wrap(Word(m.letters, ops[:i] + ops[i + 1:]), f.op)
-            if least is None or mt.key < least.key:
-                least = mt
-    return least
+            found = [(min((b for b, u in found if u == used), key=_binding_key), used)]
+        if found:
+            letters = _tuple_subtract(m.letters, pattern[0])
+            for binding, used in found:
+                stream.append(Match(rule, Context.top(Word(letters, _unused(ops, used))), binding))
+            return True
+    heap = stream._heap
+    if heap is None:
+        heap = stream._heap = []
+        for i, f in enumerate(ops):
+            if not i or f != ops[i - 1]:  # identical factors sit together
+                inner = _stream(f.arg, rule, pattern)
+                if inner:
+                    sibling = Word(m.letters, ops[:i] + ops[i + 1:])
+                    mt = inner[0].wrap(sibling, f.op)
+                    heappush(heap, (mt.key, i, mt, inner, 1, f, sibling))
+    last = stream._last
+    if last is not None:
+        _, i, _, inner, n, f, sibling = last
+        if n < len(inner) or _grow(inner, f.arg, rule, pattern):
+            mt = inner[n].wrap(sibling, f.op)
+            heappush(heap, (mt.key, i, mt, inner, n + 1, f, sibling))
+    last = stream._last = heappop(heap) if heap else None
+    if last is not None:
+        stream.append(last[2])
+    return last is not None
+
+
+def _read_all(m, rule, pattern):
+    """The stream of pattern's matches in m, read to its end by one thread
+    at a time: reading on grows kept streams in place, while a first read
+    reads only the fixed first match of the streams already kept."""
+    with _READING:
+        stream = _stream(m, rule, pattern)
+        while stream and _grow(stream, m, rule, pattern):
+            pass
+    return stream
 
 
 def _least_match(m, rule):
     """``match_rule(m, rule)[0]``, or None when the rule does not match m."""
-    memo = m._memo
-    if memo is None:
-        memo = {}
-        object.__setattr__(m, "_memo", memo)
-    found = memo.get(rule)
-    if found is None:
-        found = memo[rule] = _least_occurrence(m, rule) or []
-    if type(found) is list:
-        return found[0] if found else None
-    return found
-
-
-def _matches(m, rule):
-    """The memoised body of ``match_rule``; the recursion calls it, so a
-    wrapper around the public name sees only calls from outside."""
-    memo = m._memo
-    if memo is None:
-        memo = {}
-        object.__setattr__(m, "_memo", memo)
-    found = memo.get(rule)
-    if found is None or type(found) is Match:
-        # a table clear inside the recursion drops memo from m, so the
-        # entry is then not kept
-        found = memo[rule] = _occurrences(m, rule, rule.pattern)
-    return found
+    stream = _stream(m, rule, rule.pattern)
+    return stream[0] if stream else None
 
 
 def match_rule(m, rule):
@@ -498,30 +499,30 @@ def match_rule(m, rule):
     those at the top level of m and those in each distinct operator argument.
 
     Words are hash-consed and recur across reduction steps and as arguments
-    of other words, so each word keeps its match list per rule, at every
-    level; a clear of the word table drops these memos with the table.
+    of other words, so each word keeps its stream of matches per rule, at
+    every level; this reads it to the end.
     """
-    return _matches(m, rule)
+    return _read_all(m, rule, rule.pattern)
 
 
 def find_occurrences(m, target):
     """All contexts q with q|_target == m, complete and duplicate-free.
 
-    These are the matches of the variable-free pattern ``target``, found
-    by the same structural recursion as ``match_rule``.  They are not
-    memoised: callers ask once per throwaway word.  ``target`` must not be
-    the unit word.
+    These are the matches of the variable-free pattern ``target``, read
+    from the same stream as ``match_rule``'s.  They are not memoised:
+    callers ask once per throwaway word.  ``target`` must not be the unit
+    word.
     """
     if target.is_unit():
         raise ValueError("occurrence target must not be the unit word")
-    return [mt.context for mt in _occurrences(m, None, _compile(target, ()))]
+    return [mt.context for mt in _read_all(m, None, _compile(target, ()))]
 
 
 _key = attrgetter("key")
 
 
 def is_irreducible(word, rules):
-    return not any(match_rule(word, rule) for rule in rules)
+    return not any(_stream(word, rule, rule.pattern) for rule in rules)
 
 
 # ---------------------------------------------------------------------------
@@ -538,9 +539,9 @@ def reduce_once(f, rules, strategy="leading", rng=None):
     if strategy == "leading":
         for word, _ in f.terms_desc():
             for rule in rules:
-                matches = match_rule(word, rule)
-                if matches:
-                    return _apply(f, word, matches[0])
+                match = _least_match(word, rule)
+                if match is not None:
+                    return _apply(f, word, match)
         return f, None
     if strategy == "random":
         if rng is None:
@@ -572,11 +573,10 @@ def normal_form(
     the polynomial.  The ``leading`` strategy rewrites the greatest open word
     by the first match of the first rule that matches, dropping open words
     that no rule matches (cf. Monagan & Pearce, "Sparse polynomial division
-    using a heap", JSC 2011); it asks each word for that least match alone,
-    which the word's memo slot keeps until some caller asks for every match.
-    The ``random`` strategy draws one match among every match of every open
-    word, in ``reduce_once``'s candidate order (words descending, then
-    rules, then matches), keeping each word's match list in ``found``.
+    using a heap", JSC 2011); it reads only the first match of each word's
+    stream.  The ``random`` strategy draws one match among every match of
+    every open word, in ``reduce_once``'s candidate order (words descending,
+    then rules, then matches), keeping each word's match list in ``found``.
 
     Termination is guaranteed for order-compatible rules because each step
     strictly lowers the replaced word; the step cap is a defence against

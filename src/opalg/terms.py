@@ -82,9 +82,9 @@ __all__ = [
 #: The hash-consing table: (letters, ops) -> Word and (rank, name, arg) ->
 #: OpApp; the two kinds of lookup key differ in length, so never collide.
 #: An entry costs about 600 bytes.  A word's memo of matches holds at most
-#: one entry per rule, about 150 bytes besides the matches in it, so the one
-#: bound keeps the table under about 250 MB and the memos under about 60 MB
-#: per rule.
+#: one stream per rule, about 150 bytes besides the matches in it (every
+#: rule that does not match shares one empty stream), so the one bound keeps
+#: the table under about 250 MB and the memos under about 60 MB per rule.
 _TABLE = {}
 _TABLE_LIMIT = 400_000
 
@@ -179,7 +179,7 @@ class Word:
     """A commutative word: multiset of letters and operator applications.
 
     ``_memo`` is the rewriting engine's memo of this word's matches, rule ->
-    match list (see ``opalg.rewrite``): None until the first match, and
+    sorted stream (see ``opalg.rewrite``): None until the first match, and
     dropped when the table is cleared.  It is a cache, not part of the
     value, so copies, pickles and comparisons ignore it.
     """

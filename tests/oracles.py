@@ -27,20 +27,25 @@ key, hash and degrees in one generator pass each, and
 through the rule instance and the singleton word op(w) at every level; the
 engine replaced them by one loop per word and by building each word
 straight into its context.
+
+``nf_batch_texts`` is not an oracle: it rebuilds the benchmark's nf-batch
+corpus, which the work-count pins of several test modules share.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import random
 
 from opalg import coeff
 from opalg.coeff import Scalar
-from opalg.gsbases import enumerate_words
+from opalg.gsbases import enumerate_words, preset
 from opalg.models import HurwitzSeries, WeightMismatch, _from_sigma, _to_sigma
 from opalg.poly import OpPolynomial
 from opalg.rewrite import Match, is_irreducible
-from opalg.syntax import DEFAULT_OPERATORS, ParseError, _tokenize
+from opalg.sampling import random_polynomial
+from opalg.syntax import DEFAULT_OPERATORS, ParseError, _tokenize, format_polynomial
 from opalg.terms import OP_D, OP_P, Context, Word, _tuple_subtract, substitute_letters
 
 
@@ -569,3 +574,13 @@ def reduct_reference(match):
         substitute_reference(match.context, substitute_letters(w0, match.binding))
         for w0 in match.rule.rhs.monomials()
     )
+
+
+def nf_batch_texts(seed):
+    """The formatted inputs of the benchmark's nf-batch workload for a seed."""
+    rng = random.Random(seed)
+    return [
+        format_polynomial(random_polynomial(rng, 6, ("x", "y"), preset(name).operators))
+        for name in ("d", "rb", "drb")
+        for _ in range(800)
+    ]

@@ -22,7 +22,7 @@ from opalg import rewrite
 from opalg.coeff import Scalar
 from opalg.gsbases import PRESETS, broken_rb
 from opalg.poly import OpPolynomial
-from opalg.rewrite import RuleValidationError
+from opalg.rewrite import RuleValidationError, find_occurrences, is_irreducible
 from opalg.sampling import random_polynomial
 from opalg.terms import OP_D, OP_P, Word
 
@@ -663,6 +663,20 @@ def test_cli_deep_nesting_is_a_limit(capsys):
     assert err.startswith("limit:") and "Traceback" not in err
 
 
+def test_cli_deep_nesting_that_no_rule_matches(capsys):
+    # no rule matches at any of the 200 levels, so the matcher walks them
+    # all; the parser stops near 240 levels under pytest, so a matcher that
+    # took more frames per level than the parser would fail here first
+    text = "p(x*" * 200 + "x" + ")" * 200
+    expected = format_polynomial(parse_polynomial(text)) + "\n"
+    for strategy in ("leading", "random"):
+        code, out, err = _run(capsys, ["nf", "--theory", "rb", "--strategy", strategy, text])
+        assert (code, out, err) == (0, expected, "")
+    w = parse_polynomial(text).leading_word()
+    assert is_irreducible(w, PRESETS["rb"].rules)
+    assert len(find_occurrences(w, Word.letter("x"))) == 200
+
+
 def test_cli_usage_error_exit_2(capsys):
     code, _, err = _run(capsys, ["nf", "--theory", "drb", "d(x"])
     assert code == 2 and "error" in err
@@ -757,6 +771,8 @@ _BAD_INPUT_MESSAGES = {
     "compose --theory rb --left nope --right p_quasi_idem":
         "error: theory rb has no rule 'nope'\n",
     "model-eval --assign x=1 y": "error: no value assigned to the generator 'y'\n",
+    "model-eval --assign x=1 --assign x=2 x":
+        "error: the generator 'x' is assigned more than once\n",
     "verify --depth -1": "error: verification bounds must be nonnegative\n",
     "compose --left d_after_p --right p_quasi_idem --depth -1":
         "error: verification bounds must be nonnegative\n",
@@ -828,8 +844,9 @@ _BAD_RULESETS = {
         # names that are not there: a rule of the theory, a generator's value
         ["compose", "--theory", "rb", "--left", "nope", "--right", "p_quasi_idem"],
         ["model-eval", "--assign", "x=1", "y"],
-        # an assignment with no value
+        # an assignment with no value, a generator assigned twice
         ["model-eval", "--assign", "x", "x"],
+        ["model-eval", "--assign", "x=1", "--assign", "x=2", "x"],
         # negative verification bounds, for compose as for verify
         ["verify", "--depth", "-1"],
         ["compose", "--left", "d_after_p", "--right", "p_quasi_idem", "--depth", "-1"],

@@ -1,6 +1,8 @@
 import copy
 import pickle
 import random
+import sys
+import threading
 from dataclasses import replace
 
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from opalg import coeff, rewrite, terms
 from opalg.coeff import Scalar
 from opalg.cli import parse_polynomial as P
-from opalg.gsbases import PRESETS, VerifyConfig, broken_rb, preset, verify_gs
+from opalg.gsbases import PRESETS, VerifyConfig, _build_presets, broken_rb, preset, verify_gs
 from opalg.poly import OpPolynomial
 from opalg.rewrite import (
     Match,
@@ -29,6 +31,7 @@ from opalg.sampling import random_polynomial, random_word
 from opalg.terms import OP_D, OP_P, Context, OpApp, Word, substitute_letters
 from oracles import (
     match_rule_reference,
+    nf_batch_texts,
     oracle_occurrences,
     reduct_reference,
     substitute_reference,
@@ -498,13 +501,13 @@ def _fresh_table(monkeypatch, limit=10**9, table=None):
 
 
 def _memo_entries():
-    """(memo entries, lone least matches among them) over the table's words."""
+    """(memo entries, the set of their types) over the table's words."""
     entries = [
         found
         for w in terms._TABLE.values() if type(w) is Word and w._memo
         for found in w._memo.values()
     ]
-    return len(entries), sum(type(found) is Match for found in entries)
+    return len(entries), {type(found) for found in entries}
 
 
 def _count_level_matches(monkeypatch):
@@ -527,10 +530,10 @@ def test_match_work_counts(monkeypatch):
     assert len(res.poly) == 13
     # one top-level match per distinct (rule, word), arguments included,
     # each kept in the word's memo; walking every level of every word took
-    # 111.  The 8 words rewritten hold their least match alone, and the
-    # other 76 entries are [], the answer for every caller
+    # 111.  Every entry is the word's stream of matches for the rule, built
+    # as far as the leading reducer read it
     assert len(calls) == 84
-    assert _memo_entries() == (84, 8)
+    assert _memo_entries() == (84, {rewrite._Stream})
     # a word around an already-matched argument costs one top-level match
     rule = RB_THEORY.rule("p_rota_baxter")
     arg = P("p(x)*p(y*y)").leading_word()
@@ -539,6 +542,70 @@ def test_match_work_counts(monkeypatch):
     matches = match_rule(p(arg) * X, rule)
     assert calls == [p(arg) * X]
     assert matches == match_rule_reference(p(arg) * X, rule) and matches
+
+
+def test_match_work_counts_on_nf_batch_corpus(monkeypatch):
+    """Matches built and top-level matches made on the benchmark's nf-batch
+    corpus (seed 1), with presets built afresh: the leading reducer alone,
+    then each text reduced with leading and then with random, as the
+    benchmark does.  The random pass reads each stream on from where the
+    leading pass left it; rebuilding every match list took 1,819 matches
+    and 4,870 level matches.  A change that lowers a count should lower its
+    pin with it."""
+    texts = nf_batch_texts(1)
+    built = []
+    set_ = Match._set
+
+    def counting(match, *args):
+        built.append(match)
+        set_(match, *args)
+
+    monkeypatch.setattr(Match, "_set", counting)
+    calls = _count_level_matches(monkeypatch)
+    counts = []
+    for strategies in (("leading",), ("leading", "random")):
+        _fresh_table(monkeypatch)
+        presets = _build_presets()
+        theories = [presets[name] for name in ("d", "rb", "drb") for _ in range(800)]
+        built.clear()
+        calls.clear()
+        for i, (theory, text) in enumerate(zip(theories, texts)):
+            for strategy in strategies:
+                normal_form(P(text), theory.rules, strategy=strategy, seed=i)
+        counts.append((len(built), len(calls)))
+    assert counts == [(665, 3461), (1226, 4540)]
+
+
+def test_threads_reading_on_one_stream_agree():
+    # reading a kept stream on grows it in place; four threads read the same
+    # fresh words' streams to the end, switching as often as they can, after
+    # the leading reducer's first read
+    rules = RB_THEORY.rules + D_THEORY.rules
+    words = [
+        P("*".join(f"p(a{k}{i}*p(b{k}{i})*p(c{k}{i}))" for i in range(4))).leading_word()
+        for k in range(20)
+    ]
+    for w in words:
+        for rule in rules:
+            rewrite._least_match(w, rule)
+    results = []
+
+    def read():
+        results.append([[list(match_rule(w, rule)) for rule in rules] for w in words])
+
+    threads = [threading.Thread(target=read) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    reference = [[match_rule_reference(w, rule) for rule in rules] for w in words]
+    assert results == [reference] * 4
 
 
 def _least_match_corpus(rng):
@@ -568,7 +635,6 @@ def _check_least_matches(words):
     for m in words:
         least = [rewrite._least_match(m, rule) for rule in _RULES]
         for rule, mt in zip(_RULES, least):
-            # the lone least match is then replaced by the full list
             matches = match_rule(m, rule)
             assert mt == (matches or [None])[0], (str(m), rule.name)
             assert rewrite._least_match(m, rule) == mt
@@ -627,9 +693,8 @@ def test_table_clears_mid_recursion_change_no_result(monkeypatch):
     # a table this small, fresh so that every word misses it, is cleared
     # inside the match recursion of most words
     _fresh_table(monkeypatch, limit=100, table=Table())
-    # the leading reducer's least matches, and every match for the rest
-    for name in ("_least_occurrence", "_occurrences"):
-        monkeypatch.setattr(rewrite, name, tracking(getattr(rewrite, name)))
+    # the one walker's entry: every word whose stream some caller reads
+    monkeypatch.setattr(rewrite, "_stream", tracking(rewrite._stream))
     for (theory, text), ref in zip(texts, expected):
         f = P(text)
         lead = f.leading_word()

@@ -1,6 +1,5 @@
 """The term parser against the one-polynomial-per-atom reference parser."""
 
-import random
 from fractions import Fraction
 
 import pytest
@@ -18,7 +17,7 @@ from opalg.syntax import (
     parse_polynomial,
 )
 
-from oracles import parse_polynomial_reference
+from oracles import nf_batch_texts, parse_polynomial_reference
 
 
 def _outcome(parse, text):
@@ -124,22 +123,12 @@ def test_generated_expressions_match_reference(text):
     _assert_agrees(text)
 
 
-def _nf_batch_texts(seed):
-    """The formatted inputs of the benchmark's nf-batch workload for a seed."""
-    rng = random.Random(seed)
-    return [
-        format_polynomial(random_polynomial(rng, 6, ("x", "y"), preset(name).operators))
-        for name in ("d", "rb", "drb")
-        for _ in range(800)
-    ]
-
-
 def test_parse_counts_on_nf_batch_corpus(monkeypatch):
     """Work counters of parsing a fixed corpus, pinned as a regression bound.
 
     A change that lowers a count should lower its pin with it.
     """
-    texts = _nf_batch_texts(1)
+    texts = nf_batch_texts(1)
     counts = dict.fromkeys(("polynomials", "scalar_muls", "words"), 0)
 
     def counting(cls, name, key):
@@ -193,7 +182,7 @@ def test_fraction_counts_on_the_verify_plan(monkeypatch):
 def test_fraction_counts_on_nf_batch_corpus(monkeypatch):
     """Parse, reduce with both strategies and print the nf-batch corpus:
     57,065 Fractions when every view held one."""
-    texts = _nf_batch_texts(1)
+    texts = nf_batch_texts(1)
     presets = gsbases._build_presets()
     theories = [presets[name] for name in ("d", "rb", "drb") for _ in range(800)]
 
