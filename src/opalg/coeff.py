@@ -36,6 +36,7 @@ specialisation estimated past ``POWER_BITS_CAP`` bits raise
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 __all__ = [
@@ -66,6 +67,8 @@ def exact_fraction(x):
     A binary float such as 0.1 is not the rational it prints as, and turning
     it into one would silently make exact arithmetic inexact.  Fractions,
     ints and exact strings such as ``"0.1"`` or ``"-2/7"`` are accepted.
+    A string whose numerator or denominator, as written, has more digits
+    than ``sys.get_int_max_str_digits()`` raises ``BoundExceeded`` unbuilt.
     """
     if type(x) is Fraction:
         return x
@@ -73,6 +76,20 @@ def exact_fraction(x):
         raise TypeError(
             f"inexact float {x!r}: pass a Fraction, an int or a string such as '{x!r}'"
         )
+    if isinstance(x, str):
+        # a/b, or a.b times 10^k: count the digits before 10^k is built
+        limit = sys.get_int_max_str_digits()
+        mantissa, _, exp = x.lower().partition("e")
+        num, _, den = mantissa.partition("/")
+        parts = (num, den, num.partition(".")[2], exp)
+        num_d, den_d, frac_d, exp_d = (sum(map(str.isdigit, p)) for p in parts)
+        try:
+            k = int(exp or 0) if exp_d <= limit else limit + 1
+        except ValueError:
+            k = 0  # not a number, as Fraction reports
+        digits = max(num_d + max(k, 0), den_d, frac_d + max(-k, 0) + 1)
+        if limit and digits > limit:
+            raise BoundExceeded(f"a number of more than {limit} digits")
     return Fraction(x)
 
 

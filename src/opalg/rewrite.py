@@ -98,13 +98,6 @@ class RuleValidationError(ValueError):
     """A rule schema violates the engine's pattern requirements."""
 
 
-def _letter_count(word, name):
-    n = word.letters.count(name)
-    for f in word.ops:
-        n += _letter_count(f.arg, name)
-    return n
-
-
 class RuleSchema:
     """A named monic rewrite rule with linear variable pattern."""
 
@@ -122,17 +115,21 @@ class RuleSchema:
         varset = frozenset(variables)
         if len(varset) != len(variables):
             raise RuleValidationError(f"rule {name}: variable names must be distinct")
+        top, *args = _bare_levels(lhs, varset)
+        read = [v for level in (top, *args) for v in level]
         for v in varset:
-            if _letter_count(lhs, v) != 1:
+            if read.count(v) != 1:
                 raise RuleValidationError(
                     f"rule {name}: variable {v} must occur exactly once in the pattern"
                 )
-        for v in lhs.letters:
-            if v in varset:
-                raise RuleValidationError(
-                    f"rule {name}: variable {v} stands bare at the top of the pattern"
-                )
-        _check_arg_levels(name, lhs, varset)
+        if top:
+            raise RuleValidationError(
+                f"rule {name}: variable {top[0]} stands bare at the top of the pattern"
+            )
+        if any(len(level) > 1 for level in args):
+            raise RuleValidationError(
+                f"rule {name}: more than one bare variable inside one argument"
+            )
         rhs = OpPolynomial.from_word(lhs) - poly
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "variables", variables)
@@ -189,14 +186,11 @@ class RuleSchema:
         return f"RuleSchema({self.name})"
 
 
-def _check_arg_levels(name, word, varset):
-    for f in word.ops:
-        bare = [v for v in f.arg.letters if v in varset]
-        if len(bare) > 1:
-            raise RuleValidationError(
-                f"rule {name}: more than one bare variable inside one argument"
-            )
-        _check_arg_levels(name, f.arg, varset)
+def _bare_levels(word, varset):
+    """The variables standing bare at each level of a pattern, the top first."""
+    return [tuple(v for v in word.letters if v in varset)] + [
+        level for f in word.ops for level in _bare_levels(f.arg, varset)
+    ]
 
 
 class Match:
@@ -529,33 +523,22 @@ def is_irreducible(word, rules):
 # reduction
 # ---------------------------------------------------------------------------
 
-def _apply(f, word, match):
+def reduce_once(f, rules, strategy="leading", rng=None):
+    """Apply one rewrite; returns (polynomial, step or None).  The candidates
+    are every match of every rule in every word of f, words descending, then
+    rules, then ``match_rule`` order: ``leading`` takes the first, and
+    ``random`` draws one with rng, ``random.Random(0)`` if None."""
+    if strategy not in ("leading", "random"):
+        raise ValueError(f"unknown strategy {strategy!r}")
+    candidates = [(w, m) for w, _ in f.terms_desc() for r in rules for m in match_rule(w, r)]
+    if not candidates:
+        return f, None
+    i = 0
+    if strategy == "random":
+        i = (random.Random(0) if rng is None else rng).randrange(len(candidates))
+    word, match = candidates[i]
     step = Step(match.rule, match.context, match.binding, word, f.coefficient(word))
     return f - step.polynomial(), step
-
-
-def reduce_once(f, rules, strategy="leading", rng=None):
-    """Apply one rewrite; returns (polynomial, step or None)."""
-    if strategy == "leading":
-        for word, _ in f.terms_desc():
-            for rule in rules:
-                match = _least_match(word, rule)
-                if match is not None:
-                    return _apply(f, word, match)
-        return f, None
-    if strategy == "random":
-        if rng is None:
-            rng = random.Random(0)
-        candidates = []
-        for word, _ in f.terms_desc():
-            for rule in rules:
-                for match in match_rule(word, rule):
-                    candidates.append((word, match))
-        if not candidates:
-            return f, None
-        word, match = candidates[rng.randrange(len(candidates))]
-        return _apply(f, word, match)
-    raise ValueError(f"unknown strategy {strategy!r}")
 
 
 def normal_form(

@@ -461,6 +461,8 @@ def test_cli_irr(capsys):
     validate_schema("irr_result", payload)
     assert payload["count"] == 11
     assert "d(p(x))" not in payload["words"]
+    code, out, _ = _run(capsys, ["irr", "--theory", "rb", "--size", "-1"])
+    assert (code, out) == (0, "count: 0\n")
 
 
 def test_cli_irr_duplicate_generators_count_once(capsys):
@@ -567,6 +569,10 @@ _LONG_PRODUCT = "*".join(["2^8000"] * (_DIGITS // 2400 + 2))
         (["nf", "--theory", "rb", "--lambda", "3", "L^8193*x"], "about 8193 bits"),
         (["nf", "--theory", "rb", "--lambda", "3", "L^100000000*x"], "scalar power"),
         (["model-eval", "--lambda", "3", "--assign", "x=1", "L^100000000*x"], "scalar power"),
+        # a number typed as an option is bounded as the same literal in a polynomial
+        (["hurwitz-check", "--lambda", "1e10000000", "--samples", "1"], "digits"),
+        (["nf", "--theory", "rb", "--lambda", "7" * 5000, "p(x)"], "digits"),
+        (["model-eval", "--assign", "x=1e1000000", "x"], "digits"),
     ],
     ids=lambda v: " ".join(v)[:60] if isinstance(v, list) else v,
 )
@@ -589,6 +595,9 @@ def test_cli_large_scalars_within_the_bounds_print(capsys):
         # a weight's power passes exactly when the typed power does
         (["3^8192*x"], f"{3**8192}*x"),
         (["--lambda", "3", "L^8192*x"], f"{3**8192}*x"),
+        (["--lambda", "3/2", "L*x"], "3/2*x"),
+        (["--lambda", "0.5", "L*x"], "1/2*x"),
+        (["--lambda", "1e3", "L*x"], "1000*x"),
     ]:
         code, out, _ = _run(capsys, ["nf", "--theory", "rb", *args])
         assert (code, out) == (0, printed + "\n")
@@ -629,6 +638,9 @@ def test_cli_model_eval(capsys):
         ["model-eval", "--model", "degenerate", "--lambda", "2", "--assign", "x=3", "d(p(x)) - x"],
     )
     assert code == 0 and out.strip() == "0"
+    # a polynomial that cancels to zero evaluates to the model's zero
+    code, out, _ = _run(capsys, ["model-eval", "x - x", "--assign", "x=1"])
+    assert (code, out) == (0, "0\n")
 
 
 def test_cli_model_eval_hurwitz_prints_the_window(capsys):
@@ -782,6 +794,10 @@ _BAD_INPUT_MESSAGES = {
         "error: rule names must be distinct\n",
     "nf --theory {tmp}/variable-twice.json x":
         "error: rule collapse: variable names must be distinct\n",
+    "nf --theory {tmp}/rule-zero.json x": "error: rule collapse: zero polynomial\n",
+    "nf --theory {tmp}/rule-unit.json x": "error: rule collapse: pattern is the unit word\n",
+    "nf --theory {tmp}/rule-two-bare.json x":
+        "error: rule collapse: more than one bare variable inside one argument\n",
 }
 
 _BAD_RULESETS = {
@@ -812,6 +828,15 @@ _BAD_RULESETS = {
     # a repeated rule name, a repeated variable name
     "rule-twice.json": dict(RULESET, rules=RULESET["rules"] * 2),
     "variable-twice.json": dict(RULESET, rules=[dict(RULESET["rules"][0], variables=["u", "u"])]),
+    # patterns the engine refuses: none at all, the unit word, two bare
+    # variables in one argument
+    "rule-zero.json": dict(RULESET, rules=[dict(RULESET["rules"][0], polynomial="d(u) - d(u)")]),
+    "rule-unit.json": dict(
+        RULESET, rules=[dict(RULESET["rules"][0], variables=[], polynomial="1")]
+    ),
+    "rule-two-bare.json": dict(
+        RULESET, rules=[dict(RULESET["rules"][0], variables=["u", "v"], polynomial="d(u*v)")]
+    ),
 }
 
 
@@ -838,6 +863,7 @@ _BAD_RULESETS = {
         # generators the grammar reads back as something else
         ["irr", "--size", "1", "--theory", "rb", "--generators", "L,d"],
         ["irr", "--size", "1", "--generators", "x,y*z"],
+        ["irr", "--size", "1", "--generators", "x!"],
         # a negative step limit, on irreducible and on reducible input
         ["nf", "--step-limit", "-5", "x"],
         ["nf", "--step-limit", "-5", "d(p(x))"],

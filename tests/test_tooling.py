@@ -54,6 +54,25 @@ def test_core_modules_do_not_import_the_cli():
     assert not found, f"core modules import the CLI: {found}"
 
 
+def test_cli_reads_numbers_through_coeff():
+    # Fraction(text) builds 1e10000000 before any bound sees it, so every
+    # number typed on the command line goes through the bounded reader in
+    # opalg.coeff (exact_fraction, exact_weight)
+    path = SRC / "cli.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.extend(node.lineno for a in node.names if a.name.split(".")[0] == "fractions")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("fractions"):
+            found.append(node.lineno)
+        elif isinstance(node, ast.Name) and node.id == "Fraction":
+            found.append(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr == "Fraction":
+            found.append(node.lineno)
+    assert not found, f"cli.py reads Fraction directly at lines {found}"
+
+
 def test_immutable_classes_define_reduce():
     # the default copy and pickle restore slots through __setattr__, so a class
     # whose __setattr__ raises must rebuild itself through __reduce__
