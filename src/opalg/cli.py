@@ -192,6 +192,8 @@ def _verify_json(rep):
 def _cmd_nf(args):
     theory = _resolve_theory(args.theory)
     f = parse_polynomial(args.polynomial, theory.operators)
+    # read before reducing: a bad weight is refused without the reduction
+    weight = None if args.weight is None else exact_weight(args.weight)
     res = normal_form(
         f,
         theory.rules,
@@ -201,8 +203,8 @@ def _cmd_nf(args):
         collect_steps=args.trace or args.json,
     )
     nf = res.poly
-    if args.weight is not None:
-        nf = _specialized(nf, exact_fraction(args.weight))
+    if weight is not None:
+        nf = _specialized(nf, weight)
     if args.json:
         payload = {
             "input": format_polynomial(f),
@@ -333,6 +335,8 @@ def _cmd_model_eval(args):
         name, _, value = item.partition("=")
         if not value:
             raise ParseError(f"bad assignment {item!r}", 0)
+        if not is_letter_name(name):
+            raise ValueError(f"only generators take values, not {name!r}")
         if name in assignment:
             raise ValueError(f"the generator {name!r} is assigned more than once")
         seed = exact_fraction(value)

@@ -21,8 +21,7 @@ for a fixed nonzero rational weight w.  The derivation d shifts left, which
 costs one index of the reliable window; identities are only ever asserted
 on indices where every intermediate is reliable.
 
-A series is not stored as f but as its sigma-transform, through
-sigma = id + w*d.  The weighted Leibniz rule d(fg) = d(f)g + f d(g) +
+Through sigma = id + w*d the weighted Leibniz rule d(fg) = d(f)g + f d(g) +
 w d(f)d(g) says exactly that sigma is multiplicative, sigma(fg) =
 sigma(f) sigma(g), and so is evaluation at 0; hence the sigma-transform
 
@@ -30,40 +29,30 @@ sigma(f) sigma(g), and so is evaluation at 0; hence the sigma-transform
 
 takes the product to the entrywise product, T(fg) = Tf * Tg (Guo & Keigher,
 "On differential Rota-Baxter algebras", JPAA 2008).  T is lower triangular
-with diagonal w^m, so it is invertible for w != 0, entry m of Tf reads only
-f(0), ..., f(m), so the reliable window is kept, and Tf = Tg on the first n
-entries exactly when f = g there.  Sums and scalings are entrywise because
-T is linear, a product is entrywise, and the shifts follow from
-sigma = id + w*d:
+with diagonal w^m, so it is invertible for w != 0.
 
-    (T df)(m) = (Tf(m+1) - Tf(m)) / w
-    (T Pf)(0) = -w Tf(0),   (T Pf)(m+1) = (T Pf)(m) + w Tf(m).
+Only the constrained sequences, f(n) = -(1/w) f(n-1), form a model of the
+quasi-idempotent axioms: d(d(f)) = -(1/w) d(f) says sigma(sigma(f)) =
+sigma(f), which a general sequence breaks.  They are the sequences with
+sigma(f) = 0, that is (f(0), 0, 0, ...) in sigma-coordinates, so they are
+closed under the product, and a series holds just f(0) and its window.
+Every operation is O(1) on that one entry: sums, scalings and products act
+on it, on the smaller window, and from sigma = id + w*d
 
-A series stores only the head of Tf, up to its last entry that may be
-nonzero, next to the window length; the entries past the head are zero.
-Every operation is O(stored head): zero entries stay zero under sums,
-scalings and products, and d of a zero tail is zero.  P turns a zero tail
-into the constant T(Pf)(len(head)), which is zero for every constrained
-series; only P of a series whose constant is not zero fills out the whole
-window.  The O(n^2) conversions (Pascal sums forward, Pascal differences
-back) run only in the constructor, which takes f, and in ``coeffs``, which
-returns it; the arithmetic is exact, so the values equal those of the
-defining sum entry for entry.
+    (T df)(0) = (Tf(1) - Tf(0)) / w = -f(0) / w,   (T Pf)(0) = -w f(0),
 
-The constrained subalgebra consists of the sequences with
-f(n) = -(1/w) f(n-1), i.e. sigma(f) = 0: in sigma-coordinates they are
-(f(0), 0, 0, ...), which is why they are closed under the product.  It does
-not contain the unit, so evaluating polynomials that need the unit in this
-model is rejected.  f -> f(0) maps it isomorphically onto the base ring,
-sending d to -(1/w) id and P to -w id, so the constrained model is the
-degenerate model in other coordinates.
+on a window one shorter for d and one longer for P.  The sequence itself,
+f(m) = f(0) (-1/w)^m, is computed only when read.  The constrained algebra
+does not contain the unit, so evaluating polynomials that need the unit in
+this model is rejected.  f -> f(0) maps it isomorphically onto the base
+ring, sending d to -(1/w) id and P to -w id, so the constrained model is
+the degenerate model in other coordinates.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import accumulate
 
 from .coeff import InvalidWeight, PoleAtWeight  # re-exported for callers
 from .coeff import exact_fraction, exact_weight
@@ -194,63 +183,45 @@ class TruncatedPolyRing:
 # ---------------------------------------------------------------------------
 
 class HurwitzSeries:
-    """A finite reliable window of a sequence over a base ring, stored as the
-    ``head`` of its sigma-transform (see the module docstring): the entries
-    up to the last one that may be nonzero.  Every entry from ``len(head)``
-    up to ``window`` is zero.  ``sigma`` gives the whole transform and
-    ``coeffs`` the sequence itself."""
+    """A constrained series on a finite reliable window: its one
+    sigma-coordinate ``seed`` = f(0) (see the module docstring), past which
+    every sigma-entry is zero.  ``coeffs`` gives the sequence itself."""
 
-    __slots__ = ("ring", "weight", "head", "window")
+    __slots__ = ("ring", "weight", "seed", "window")
 
-    def __init__(self, ring, weight, coeffs):
+    def __init__(self, ring, weight, seed, window):
+        # unchecked: constrained_series and the model's zero build series
         self.ring = ring
-        self.weight = exact_weight(weight)
-        self.head = _to_sigma(coeffs, self.weight)
-        self.window = len(self.head)
-
-    @classmethod
-    def _of(cls, ring, weight, head, window):
-        """A series from the head of its sigma-transform, for an exact nonzero
-        weight and ``len(head) <= window``."""
-        out = object.__new__(cls)
-        out.ring = ring
-        out.weight = weight
-        out.head = tuple(head)
-        out.window = window
-        return out
-
-    @property
-    def sigma(self):
-        """The sigma-transform on the whole window, the zero tail included."""
-        return self.head + (self.ring.zero(),) * (self.window - len(self.head))
+        self.weight = weight
+        self.seed = seed
+        self.window = window
 
     @property
     def coeffs(self):
-        """The entries f(0), ..., f(n-1) of the window, converted on each read."""
-        return _from_sigma(self.sigma, self.weight)
+        """The entries f(m) = f(0) (-1/w)^m of the window."""
+        r = -1 / self.weight
+        return tuple(r**m * self.seed for m in range(self.window))
 
     def _check(self, other):
         if self.weight != other.weight:
             raise WeightMismatch(f"weights {self.weight} and {other.weight}")
 
+    def _new(self, seed, window):
+        return HurwitzSeries(self.ring, self.weight, seed, window)
+
     def __add__(self, other):
         self._check(other)
-        a, b = self.head, other.head
-        if len(a) < len(b):
-            a, b = b, a
-        n = min(self.window, other.window)
-        # len(b) <= n: the shorter head lies within both windows
-        head = tuple(x + y for x, y in zip(a, b)) + a[len(b):n]
-        return self._of(self.ring, self.weight, head, n)
+        return self._new(self.seed + other.seed, min(self.window, other.window))
 
     def __sub__(self, other):
-        return self + (-other)
+        self._check(other)
+        return self._new(self.seed - other.seed, min(self.window, other.window))
 
     def __neg__(self):
-        return self._of(self.ring, self.weight, (-a for a in self.head), self.window)
+        return self._new(-self.seed, self.window)
 
     def scale(self, k):
-        return self._of(self.ring, self.weight, (k * a for a in self.head), self.window)
+        return self._new(k * self.seed, self.window)
 
     def __rmul__(self, k):
         # through the attribute, so a wrapper on ``scale`` sees k * series too
@@ -258,88 +229,36 @@ class HurwitzSeries:
 
     def __mul__(self, other):
         """The binomially weighted product, exact on the common window: the
-        entrywise product of the sigma-transforms.  A rational ``k`` on the
-        right scales, as ``k * a`` does."""
+        product of the sigma-coordinates.  A rational ``k`` on the right
+        scales, as ``k * a`` does."""
         if isinstance(other, (Fraction, int)):
             return self.scale(other)
         self._check(other)
-        return self._of(
-            self.ring, self.weight, (a * b for a, b in zip(self.head, other.head)),
-            min(self.window, other.window),
-        )
+        return self._new(self.seed * other.seed, min(self.window, other.window))
 
     def derive(self):
-        """Left shift, (T f')(m) = (Tf(m+1) - Tf(m))/w; the reliable window
-        shrinks by one.  Past the head Tf is zero, so the last head entry
-        gives -Tf(m)/w unless the head fills the window."""
-        h, inv, n = self.head, 1 / self.weight, self.window - 1
-        head = [inv * (b - a) for a, b in zip(h, h[1:])]
-        if h and len(h) <= n:
-            head.append(inv * -h[-1])
-        return self._of(self.ring, self.weight, head, max(n, 0))
+        """Left shift, -f(0)/w; the reliable window shrinks by one."""
+        return self._new((-1 / self.weight) * self.seed, max(self.window - 1, 0))
 
     def integrate(self):
-        """Right shift seeded with -w*f(0): T(Pf)(0) = -w Tf(0) and
-        T(Pf)(m+1) = T(Pf)(m) + w Tf(m).  The window grows by one entry, unless
-        it is empty: Pf(0) needs f(0).  Past the head every entry is the
-        constant S = T(Pf)(len(head)), which is dropped when zero (as for
-        every constrained series) and otherwise fills the window."""
-        w, h, n = self.weight, self.head, self.window
-        if not n:
+        """Right shift seeded with -w*f(0); the window grows by one entry,
+        unless it is empty: Pf(0) needs f(0)."""
+        if not self.window:
             return self
-        if not h:
-            return self._of(self.ring, w, (), n + 1)
-        head = list(accumulate((w * a for a in h), initial=-w * h[0]))
-        s = head.pop()
-        if s != self.ring.zero():
-            head.extend([s] * (n + 1 - len(h)))
-        return self._of(self.ring, w, head, n + 1)
+        return self._new(-self.weight * self.seed, self.window + 1)
 
     def agrees(self, other):
         """Equality on the common reliable window, which must not be empty."""
         self._check(other)
-        n = min(self.window, other.window)
-        if n < 1:
+        if min(self.window, other.window) < 1:
             raise ValueError("the series share no reliable entry to compare")
-        a, b = self.head[:n], other.head[:n]
-        if len(a) < len(b):
-            a, b = b, a
-        z = self.ring.zero()
-        return a[:len(b)] == b and all(c == z for c in a[len(b):])
+        return self.seed == other.seed
 
     def is_zero(self):
-        z = self.ring.zero()
-        return all(c == z for c in self.head)
+        return not self.window or self.seed == self.ring.zero()
 
     def __repr__(self):
         return f"HurwitzSeries(w={self.weight}, {list(self.coeffs)})"
-
-
-def _to_sigma(coeffs, w):
-    """(Tf)(m) = sum_i C(m,i) w^i f(i): scale f(i) by w^i, then Pascal sums
-    (row k+1 is row k plus row k shifted left; entry m is row m's head)."""
-    row = [w**i * c for i, c in enumerate(coeffs)]
-    out = []
-    while row:
-        out.append(row[0])
-        row = [a + b for a, b in zip(row, row[1:])]
-    return tuple(out)
-
-
-def _from_sigma(values, w):
-    """The inverse of ``_to_sigma``: Pascal differences, then scale entry i
-    by w^-i."""
-    row, out = list(values), []
-    while row:
-        out.append(w ** -len(out) * row[0])
-        row = [b - a for a, b in zip(row, row[1:])]
-    return tuple(out)
-
-
-def unit_series(ring, weight, window):
-    return HurwitzSeries(
-        ring, weight, (ring.one(),) + (ring.zero(),) * (window - 1)
-    )
 
 
 def constrained_series(ring, weight, seed, window):
@@ -349,7 +268,7 @@ def constrained_series(ring, weight, seed, window):
     if window < 1:
         raise ValueError("the window must hold at least one entry")
     seed = ring.coerce(seed) if isinstance(seed, (int, float, Fraction)) else seed
-    return HurwitzSeries._of(ring, w, (seed,), window)
+    return HurwitzSeries(ring, w, seed, window)
 
 
 # ---------------------------------------------------------------------------
@@ -419,8 +338,7 @@ class HurwitzConstrainedModel(OperatorModel):
     A constrained series is (f(0), 0, ..., 0) in sigma-coordinates, and
     f -> f(0) carries this model onto ``DegenerateModel`` over the base
     ring, so it adds no evidence beyond that model: independence checks
-    (rank certificates for a linear basis) need unconstrained series or
-    other sigma-based models.
+    (rank certificates for a linear basis) need other sigma-based models.
     """
 
     name = "hurwitz"
@@ -436,7 +354,7 @@ class HurwitzConstrainedModel(OperatorModel):
         raise NonunitalModel("the constrained sequence algebra has no unit")
 
     def zero(self):
-        return HurwitzSeries._of(self.ring, self.weight, (), self.window)
+        return HurwitzSeries(self.ring, self.weight, self.ring.zero(), self.window)
 
     def d(self, a):
         return a.derive()

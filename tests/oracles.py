@@ -5,12 +5,12 @@ engine's matcher or enumerator: irreducibility is decided by hard-coded
 structural scans for each forbidden shape, and occurrence search by
 exhaustively puncturing a word and substituting back.  The Hurwitz product
 is computed by its defining triple sum, and the other series operations on
-the coefficients themselves, rather than on the sigma-transform the engine
-stores.  The reference parser builds a whole polynomial for every atom and
-combines them with polynomial arithmetic rather than gathering each term's
-factors.  The test suite pins engine outputs against these.
+the coefficients themselves, rather than on the one sigma-coordinate the
+engine stores.  The reference parser builds a whole polynomial for every
+atom and combines them with polynomial arithmetic rather than gathering
+each term's factors.  The test suite pins engine outputs against these.
 
-There are four exceptions, slow paths the engine replaced and kept as the
+There are three exceptions, slow paths the engine replaced and kept as the
 references the replacements must reproduce exactly.
 ``enumerate_irr_reference`` is the engine's own matcher run over every
 word, which the pruned enumerator replaced.  ``match_rule_reference``
@@ -18,15 +18,11 @@ walks every nesting level of a word, building each level's spine of
 sibling words, and matches the uncompiled pattern word into each level
 with its own level matcher, which the engine's compiled matcher replaced;
 the structural, memoised ``match_rule`` replaced the walk.
-``SigmaTupleSeries`` stores every entry of a Hurwitz series' sigma-transform
-on its window, zeros included, and applies the sigma formulas to each; the
-engine's ``HurwitzSeries`` replaced it by storing the head up to the last
-entry that may be nonzero.  ``word_fields_reference`` computes a word's
-key, hash and degrees in one generator pass each, and
-``reduct_reference`` and ``substitute_reference`` build a rewrite's words
-through the rule instance and the singleton word op(w) at every level; the
-engine replaced them by one loop per word and by building each word
-straight into its context.
+``word_fields_reference`` computes a word's key, hash and degrees in one
+generator pass each, and ``reduct_reference`` and ``substitute_reference``
+build a rewrite's words through the rule instance and the singleton word
+op(w) at every level; the engine replaced them by one loop per word and by
+building each word straight into its context.
 
 ``nf_batch_texts`` is not an oracle: it rebuilds the benchmark's nf-batch
 corpus, which the work-count pins of several test modules share.
@@ -41,7 +37,6 @@ import random
 from opalg import coeff
 from opalg.coeff import Scalar
 from opalg.gsbases import enumerate_words, preset
-from opalg.models import HurwitzSeries, WeightMismatch, _from_sigma, _to_sigma
 from opalg.poly import OpPolynomial
 from opalg.rewrite import Match, is_irreducible
 from opalg.sampling import random_polynomial
@@ -302,116 +297,42 @@ def oracle_occurrences(m, target):
 
 
 # ---------------------------------------------------------------------------
-# Hurwitz series operations on the coefficients themselves
+# Hurwitz series operations on coefficient tuples f(0), ..., f(n-1)
 # ---------------------------------------------------------------------------
 
-def hurwitz_product_reference(f, g):
+def hurwitz_product_reference(fc, gc, w):
     """(fg)(n) = sum_{k<=n} sum_{j<=n-k} C(n,k) C(n-k,j) w^k f(n-j) g(k+j)
     on the common window: n(n+1)(n+2)/6 carrier products for window n."""
-    w = f.weight
-    fc, gc = f.coeffs, g.coeffs
     out = []
     for n in range(min(len(fc), len(gc))):
-        acc = f.ring.zero()
+        acc = None
         for k in range(n + 1):
             for j in range(n - k + 1):
                 c = math.comb(n, k) * math.comb(n - k, j) * w**k
-                acc = acc + c * (fc[n - j] * gc[k + j])
+                term = c * (fc[n - j] * gc[k + j])
+                acc = term if acc is None else acc + term
         out.append(acc)
-    return HurwitzSeries(f.ring, w, out)
+    return tuple(out)
 
 
-def hurwitz_sum_reference(f, g):
+def hurwitz_sum_reference(fc, gc):
     """f + g entry by entry on the common window."""
-    n = min(f.window, g.window)
-    return HurwitzSeries(
-        f.ring, f.weight, (a + b for a, b in zip(f.coeffs[:n], g.coeffs[:n]))
-    )
+    return tuple(a + b for a, b in zip(fc, gc))
 
 
-def hurwitz_scale_reference(f, k):
-    return HurwitzSeries(f.ring, f.weight, (k * a for a in f.coeffs))
+def hurwitz_scale_reference(fc, k):
+    return tuple(k * a for a in fc)
 
 
-def hurwitz_derive_reference(f):
+def hurwitz_derive_reference(fc):
     """The left shift f'(n) = f(n+1); the window shrinks by one."""
-    return HurwitzSeries(f.ring, f.weight, f.coeffs[1:])
+    return fc[1:]
 
 
-def hurwitz_integrate_reference(f):
+def hurwitz_integrate_reference(fc, w):
     """The right shift seeded with -w*f(0); the window grows by one, unless
     it is empty, since (Pf)(0) needs f(0)."""
-    c = f.coeffs
-    return HurwitzSeries(f.ring, f.weight, (-f.weight * c[0],) + c if c else ())
-
-
-# ---------------------------------------------------------------------------
-# Hurwitz series as the whole sigma tuple of the window
-# ---------------------------------------------------------------------------
-
-class SigmaTupleSeries:
-    """A Hurwitz series as the tuple of every sigma-transform entry on its
-    window, with each operation computed entry by entry over the window."""
-
-    def __init__(self, ring, weight, sigma):
-        self.ring, self.weight, self.sigma = ring, weight, tuple(sigma)
-
-    @classmethod
-    def from_coeffs(cls, ring, weight, coeffs):
-        return cls(ring, weight, _to_sigma(coeffs, weight))
-
-    @property
-    def window(self):
-        return len(self.sigma)
-
-    @property
-    def coeffs(self):
-        return _from_sigma(self.sigma, self.weight)
-
-    def _check(self, other):
-        if self.weight != other.weight:
-            raise WeightMismatch(f"weights {self.weight} and {other.weight}")
-
-    def _new(self, sigma):
-        return SigmaTupleSeries(self.ring, self.weight, sigma)
-
-    def __add__(self, other):
-        self._check(other)
-        return self._new(a + b for a, b in zip(self.sigma, other.sigma))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return self._new(-a for a in self.sigma)
-
-    def scale(self, k):
-        return self._new(k * a for a in self.sigma)
-
-    def __mul__(self, other):
-        self._check(other)
-        return self._new(a * b for a, b in zip(self.sigma, other.sigma))
-
-    def derive(self):
-        s, inv = self.sigma, 1 / self.weight
-        return self._new(inv * (b - a) for a, b in zip(s, s[1:]))
-
-    def integrate(self):
-        w, s = self.weight, self.sigma
-        if not s:
-            return self
-        return self._new(itertools.accumulate((w * a for a in s), initial=-w * s[0]))
-
-    def agrees(self, other):
-        self._check(other)
-        n = min(self.window, other.window)
-        if n < 1:
-            raise ValueError("the series share no reliable entry to compare")
-        return self.sigma[:n] == other.sigma[:n]
-
-    def is_zero(self):
-        z = self.ring.zero()
-        return all(c == z for c in self.sigma)
+    return (-w * fc[0],) + fc if fc else ()
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from opalg.cli import (
     parse_polynomial,
     parse_word,
 )
-from opalg import rewrite
+from opalg import cli, rewrite
 from opalg.coeff import Scalar
 from opalg.gsbases import PRESETS, broken_rb
 from opalg.poly import OpPolynomial
@@ -336,6 +336,8 @@ NF_JSON_TRACE_SHA256 = "f424accef285e9778789cb035a4a42fb0c69df78b9635801364ed4cd
 # computed while the reports of a rule pair were also deduplicated by key
 VERIFY_COMPLETIONS_JSON_SHA256 = "9348f13deb4c991f5e34c6cb160d2c6fac60417ba671fbfb59b86e1b931e7433"
 COMPOSE_JSON_SHA256 = "247eb9a525245e24eb14de093820188227d4d49c9abb63e0c7f93e98df6f351e"
+# computed while a Hurwitz series was stored as the head of its sigma-transform
+HURWITZ_MODEL_SHA256 = "2195c92ed0ce37be0fb11eb0e229ad485746bc0e94d1d05bdcc2c557b82168b1"
 
 
 def test_cli_nf_golden_json(capsys):
@@ -423,6 +425,32 @@ def test_cli_nf_json_trace_is_byte_identical(capsys):
         for strategy in ("leading", "random")
     ]
     assert _cli_digest(capsys, argvs) == NF_JSON_TRACE_SHA256
+
+
+# the Hurwitz model commands, over the window lengths where values run out
+_HURWITZ_POLYNOMIALS = (
+    "x", "x*y", "x - x", "p(x)", "d(x)", "p(d(x))", "d(p(x))", "d(d(d(x)))*y",
+    "p(x)*p(y)", "p(p(x)) + L*p(x)", "p(x*p(y)) + p(p(x)*y) + L*p(x*y)",
+    "d(x*y) - d(x)*y - x*d(y) - L*d(x)*d(y)", "(L+1)/(L^2-2)*d(x*p(y))",
+    "-3/2*x*y^2 + d(y)", "p(d(y))*d(p(x))", "1 + x",
+)
+
+
+def test_cli_hurwitz_model_output_is_byte_identical(capsys):
+    argvs = [
+        ["hurwitz-check", "--lambda", weight, "--trunc", trunc, *json_flag]
+        for weight in ("1", "3/2", "-2/7")
+        for trunc in ("3", "4", "8")
+        for json_flag in ((), ("--json",))
+    ]
+    argvs += [
+        ["model-eval", "--model", "hurwitz", "--lambda", weight, "--trunc", trunc,
+         "--assign", "x=3", "--assign", "y=-1/2", text]
+        for weight in ("3/2", "-2")
+        for trunc in ("1", "2", "4", "8")
+        for text in _HURWITZ_POLYNOMIALS
+    ]
+    assert _cli_digest(capsys, argvs) == HURWITZ_MODEL_SHA256
 
 
 def test_cli_cmp(capsys):
@@ -659,6 +687,24 @@ def test_cli_model_eval_negative_weight(capsys):
     assert out.strip() == "2/7"
 
 
+def test_cli_nf_reads_the_weight_before_reducing(capsys, monkeypatch):
+    # a weight that cannot be read is refused before any reduction, so its
+    # error wins over the step limit the reduction would hit
+    argv = ["nf", "--theory", "rb", "--step-limit", "0", "p(p(x))"]
+    assert _run(capsys, argv)[0] == 3
+    assert _run(capsys, argv + ["--lambda", "abc"]) == (
+        2, "", "error: Invalid literal for Fraction: 'abc'\n"
+    )
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("normal_form ran before the weight was read")
+
+    monkeypatch.setattr(cli, "normal_form", refuse)
+    for weight, code in (("abc", 2), ("0", 2), ("1/0", 2), ("1e99999", 3)):
+        got, out, err = _run(capsys, ["nf", "--theory", "rb", "--lambda", weight, "p(p(x))"])
+        assert (got, out) == (code, "") and err.startswith(("error:", "limit:")), weight
+
+
 def test_cli_nf_negative_weight(capsys):
     argv = ["nf", "--theory", "d", "d(d(x))"]
     code, out, err = _run(capsys, argv + ["--lambda", "-2/7"])
@@ -785,6 +831,12 @@ _BAD_INPUT_MESSAGES = {
     "model-eval --assign x=1 y": "error: no value assigned to the generator 'y'\n",
     "model-eval --assign x=1 --assign x=2 x":
         "error: the generator 'x' is assigned more than once\n",
+    "nf --theory rb --lambda 0 x - x": "error: weight must be nonzero\n",
+    "model-eval --assign x=1 --assign L=2 x": "error: only generators take values, not 'L'\n",
+    "model-eval --assign x=1 --assign =3 x": "error: only generators take values, not ''\n",
+    "model-eval --assign x=1 --assign d=4 x": "error: only generators take values, not 'd'\n",
+    "model-eval --assign x=1 --assign x*y=4 x":
+        "error: only generators take values, not 'x*y'\n",
     "verify --depth -1": "error: verification bounds must be nonnegative\n",
     "compose --left d_after_p --right p_quasi_idem --depth -1":
         "error: verification bounds must be nonnegative\n",
@@ -844,6 +896,8 @@ _BAD_RULESETS = {
     "argv",
     [
         ["nf", "--lambda", "1/0", "x"],
+        # a zero weight, also where nothing is left to specialise
+        ["nf", "--theory", "rb", "--lambda", "0", "x - x"],
         ["model-eval", "x", "--assign", "x=1/0"],
         ["model-eval", "x", "--lambda", "1/0", "--assign", "x=1"],
         ["nf", "--theory", "{tmp}", "x"],
@@ -873,6 +927,9 @@ _BAD_RULESETS = {
         # an assignment with no value, a generator assigned twice
         ["model-eval", "--assign", "x", "x"],
         ["model-eval", "--assign", "x=1", "--assign", "x=2", "x"],
+        # values for names that are not generators
+        *(["model-eval", "--assign", "x=1", "--assign", item, "x"]
+          for item in ("L=2", "=3", "d=4", "x*y=4")),
         # negative verification bounds, for compose as for verify
         ["verify", "--depth", "-1"],
         ["compose", "--left", "d_after_p", "--right", "p_quasi_idem", "--depth", "-1"],

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from opalg import models
 from opalg.cli import parse_polynomial as P
 from opalg.gsbases import preset
 from opalg.models import (
@@ -24,11 +23,9 @@ from opalg.models import (
     constrained_series,
     evaluate_in_model,
 )
-from opalg.models import unit_series
 from opalg.rewrite import normal_form
 from opalg.sampling import random_polynomial, random_word
 from oracles import (
-    SigmaTupleSeries,
     hurwitz_derive_reference,
     hurwitz_integrate_reference,
     hurwitz_product_reference,
@@ -41,18 +38,20 @@ W32 = Fraction(3, 2)
 
 
 def test_hurwitz_unit_and_zero():
+    # the constrained algebra has no unit; its zero absorbs products
+    model = HurwitzConstrainedModel(RING, W32, window=8)
     f = constrained_series(RING, W32, Fraction(5, 3), 8)
-    one = unit_series(RING, W32, 8)
-    zero = HurwitzSeries(RING, W32, (Fraction(0),) * 8)
-    assert (one * f).agrees(f)
-    assert (f * one).agrees(f)
-    assert (f * zero).is_zero()
+    zero = model.zero()
+    with pytest.raises(NonunitalModel):
+        model.one()
+    assert (f * zero).is_zero() and (zero * f).is_zero()
+    assert (f + zero).agrees(f) and zero.coeffs == (0,) * 8
 
 
 def test_scalar_times_series_goes_through_scale(monkeypatch):
     # k * series is series.scale(k) looked up when called, so a wrapper on
     # scale, as the benchmark's tracer installs, counts it too
-    a = HurwitzSeries(RING, W32, (Fraction(1), Fraction(2), Fraction(-1)))
+    a = constrained_series(RING, W32, Fraction(1), 3)
     calls = []
     scale = HurwitzSeries.scale
 
@@ -100,45 +99,50 @@ _BASES = {
 }
 
 
+def _draw_constrained(data, ring, elements, w):
+    """A constrained series, zero seeds included, on a window of 1 to 10, and
+    its coefficients from the recurrence f(n) = -(1/w) f(n-1)."""
+    coeffs = [data.draw(st.one_of(st.just(ring.zero()), elements))]
+    for _ in range(data.draw(st.integers(0, 9))):
+        coeffs.append((-1 / w) * coeffs[-1])
+    return constrained_series(ring, w, coeffs[0], len(coeffs)), tuple(coeffs)
+
+
+def _assert_same_series(got, want, known):
+    # want holds the coefficients from the oracle; window, agrees and is_zero
+    # must read as the same comparisons made on coefficients.  known holds
+    # (series, coefficients) pairs to compare with.
+    assert got.coeffs == want
+    assert got.window == len(want)
+    assert got.is_zero() == all(c == got.ring.zero() for c in want)
+    for other, other_coeffs in ((got, want), *known):
+        n = min(len(want), len(other_coeffs))
+        if n < 1:
+            with pytest.raises(ValueError):
+                got.agrees(other)
+            with pytest.raises(ValueError):
+                other.agrees(got)
+        else:
+            same = want[:n] == other_coeffs[:n]
+            assert got.agrees(other) == same and other.agrees(got) == same
+
+
 @pytest.mark.parametrize("base", _BASES)
 @given(data=st.data(), w=_WEIGHTS)
 def test_hurwitz_product_matches_defining_formula(base, data, w):
-    # unconstrained sequences: constrained ones are (f(0), 0, 0, ...) in
-    # sigma-coordinates and would barely exercise the transform
     ring, elements = _BASES[base]
-    f, g = (
-        HurwitzSeries(ring, w, data.draw(st.lists(elements, max_size=10)))
-        for _ in range(2)
-    )
+    (f, fc), (g, gc) = (_draw_constrained(data, ring, elements, w) for _ in range(2))
     fg = f * g
-    assert fg.window == min(f.window, g.window)
-    assert fg.coeffs == hurwitz_product_reference(f, g).coeffs
+    _assert_same_series(fg, hurwitz_product_reference(fc, gc, w), [(f, fc), (g, gc)])
     # the weighted Leibniz rule, which makes sigma = id + w*d multiplicative
     df, dg = f.derive(), g.derive()
     rhs = df * g + f * dg + w * (df * dg)
     assert fg.derive().coeffs == rhs.coeffs
 
 
-def _assert_same_series(got, want, known):
-    # want comes from the coefficient-space oracle; window, agrees and is_zero
-    # must read as the same comparisons made on coefficients.  known holds
-    # (series, coefficients) pairs to compare with.
-    coeffs = want.coeffs
-    assert got.coeffs == coeffs
-    assert got.window == len(coeffs)
-    assert got.is_zero() == all(c == got.ring.zero() for c in coeffs)
-    for other, other_coeffs in ((want, coeffs), *known):
-        n = min(len(coeffs), len(other_coeffs))
-        if n < 1:
-            with pytest.raises(ValueError):
-                got.agrees(other)
-        else:
-            assert got.agrees(other) == (coeffs[:n] == other_coeffs[:n])
-
-
 # the shifts and their compositions, innermost last, with their oracles
 _SHIFTS = {
-    "derive": (HurwitzSeries.derive, hurwitz_derive_reference),
+    "derive": (HurwitzSeries.derive, lambda c, w: hurwitz_derive_reference(c)),
     "integrate": (HurwitzSeries.integrate, hurwitz_integrate_reference),
 }
 _CHAINS = [
@@ -151,109 +155,26 @@ _CHAINS = [
 @given(data=st.data(), w=_WEIGHTS, k=_RATIONALS)
 def test_hurwitz_operations_match_coefficient_oracle(base, data, w, k):
     ring, elements = _BASES[base]
-    f, g = (
-        HurwitzSeries(ring, w, data.draw(st.lists(elements, max_size=10)))
-        for _ in range(2)
-    )
-    known = [(f, f.coeffs), (g, g.coeffs)]
-    _assert_same_series(f + g, hurwitz_sum_reference(f, g), known)
-    _assert_same_series(f - g, hurwitz_sum_reference(f, hurwitz_scale_reference(g, -1)), known)
-    _assert_same_series(-f, hurwitz_scale_reference(f, -1), known)
-    _assert_same_series(k * f, hurwitz_scale_reference(f, k), known)
-    _assert_same_series(f * k, hurwitz_scale_reference(f, k), known)
+    (f, fc), (g, gc) = (_draw_constrained(data, ring, elements, w) for _ in range(2))
+    known = [(f, fc), (g, gc)]
+    _assert_same_series(f, fc, known)
+    _assert_same_series(f + g, hurwitz_sum_reference(fc, gc), known)
+    _assert_same_series(f - g, hurwitz_sum_reference(fc, hurwitz_scale_reference(gc, -1)), known)
+    _assert_same_series(-f, hurwitz_scale_reference(fc, -1), known)
+    _assert_same_series(k * f, hurwitz_scale_reference(fc, k), known)
+    _assert_same_series(f * k, hurwitz_scale_reference(fc, k), known)
     for chain in _CHAINS:
-        got = want = f
+        got, want = f, fc
         for name in reversed(chain):
             engine, oracle = _SHIFTS[name]
-            got, want = engine(got), oracle(want)
+            got, want = engine(got), oracle(want, w)
         _assert_same_series(got, want, known)
-
-
-def _draw_series(data, ring, elements, w):
-    """A series and its whole-window sigma tuple: dense from coefficients,
-    constrained from a seed, or a head of any length up to the window, with
-    zero entries mixed in."""
-    kind = data.draw(st.sampled_from(("dense", "constrained", "head")))
-    if kind == "dense":
-        coeffs = data.draw(st.lists(elements, max_size=10))
-        return HurwitzSeries(ring, w, coeffs), SigmaTupleSeries.from_coeffs(ring, w, coeffs)
-    zero = ring.zero()
-    window = data.draw(st.integers(1 if kind == "constrained" else 0, 10))
-    if kind == "constrained":
-        head = (data.draw(elements),)
-        series = constrained_series(ring, w, head[0], window)
-    else:
-        head = tuple(data.draw(st.lists(st.one_of(st.just(zero), elements), max_size=window)))
-        # built directly: no public constructor takes a short head
-        series = HurwitzSeries._of(ring, w, head, window)
-    return series, SigmaTupleSeries(ring, w, head + (zero,) * (window - len(head)))
-
-
-def _assert_same_as_sigma_tuple(got, want, known):
-    # known holds (series, sigma-tuple oracle) pairs to compare with
-    assert len(got.head) <= got.window
-    assert got.window == want.window
-    assert got.sigma == want.sigma
-    assert got.coeffs == want.coeffs
-    assert got.is_zero() == want.is_zero()
-    for other, other_want in ((got, want), *known):
-        if min(want.window, other_want.window) < 1:
-            with pytest.raises(ValueError):
-                got.agrees(other)
-            with pytest.raises(ValueError):
-                other.agrees(got)
-        else:
-            assert got.agrees(other) == want.agrees(other_want)
-            assert other.agrees(got) == other_want.agrees(want)
-
-
-@pytest.mark.parametrize("base", _BASES)
-@given(data=st.data(), w=_WEIGHTS, k=_RATIONALS)
-def test_hurwitz_head_storage_matches_sigma_tuple_oracle(base, data, w, k):
-    ring, elements = _BASES[base]
-    (f, f0), (g, g0) = (_draw_series(data, ring, elements, w) for _ in range(2))
-    known = [(f, f0), (g, g0)]
-    for got, want, coeff_want in (
-        (f, f0, f),
-        (f + g, f0 + g0, hurwitz_sum_reference(f, g)),
-        (f - g, f0 - g0, hurwitz_sum_reference(f, hurwitz_scale_reference(g, -1))),
-        (-f, -f0, hurwitz_scale_reference(f, -1)),
-        (k * f, f0.scale(k), hurwitz_scale_reference(f, k)),
-        (f * k, f0.scale(k), hurwitz_scale_reference(f, k)),
-        (f * g, f0 * g0, hurwitz_product_reference(f, g)),
-    ):
-        _assert_same_as_sigma_tuple(got, want, known)
-        _assert_same_series(got, coeff_want, [(f, f.coeffs), (g, g.coeffs)])
-    for chain in _CHAINS:
-        got, want, coeff_want = f, f0, f
-        for name in reversed(chain):
-            engine, oracle = _SHIFTS[name]
-            got, want = engine(got), getattr(want, name)()
-            coeff_want = oracle(coeff_want)
-            _assert_same_as_sigma_tuple(got, want, known)
-            _assert_same_series(got, coeff_want, [(f, f.coeffs)])
     # derive down to window 0, and once more there
-    got, want = f, f0
+    got, want = f, fc
     for _ in range(f.window + 1):
-        got, want = got.derive(), want.derive()
-        _assert_same_as_sigma_tuple(got, want, known)
+        got, want = got.derive(), hurwitz_derive_reference(want)
+        _assert_same_series(got, want, known)
     assert got.window == 0
-
-
-def test_hurwitz_integrate_fills_a_nonzero_tail_constant():
-    # T(Pf) past the head is S = w*(h[1] + ... + h[-1]): zero for a
-    # constrained series, so its head stays at one entry; otherwise S fills
-    # the window, the one operation that touches every entry
-    f = HurwitzSeries._of(RING, W32, (Fraction(1), Fraction(2)), 5)
-    pf = f.integrate()
-    assert pf.window == 6 and len(pf.head) == 6
-    assert pf.sigma == SigmaTupleSeries(RING, W32, f.sigma).integrate().sigma
-    assert pf.sigma[2:] == (W32 * 2,) * 4
-    c = constrained_series(RING, W32, Fraction(5, 3), 8)
-    assert len(c.integrate().head) == 1 and c.integrate().window == 9
-    assert len(c.derive().head) == 1 and c.derive().window == 7
-    zero = HurwitzConstrainedModel(RING, W32, window=8).zero()
-    assert zero.head == () and zero.sigma == (0,) * 8
 
 
 class _Counted:
@@ -302,53 +223,39 @@ class _CountedRing:
 
 
 def test_hurwitz_product_makes_one_carrier_product_per_entry():
-    # a deterministic bound: the defining sum takes n(n+1)(n+2)/6 products
-    # (120 at window 8), the sigma-transform n
+    # a deterministic bound: a constrained series stores one sigma-entry, so
+    # the product takes one carrier product at any window, where the
+    # defining sum takes n(n+1)(n+2)/6 (120 at window 8)
     rng = random.Random(68)
-    for n in range(11):
+    for n in range(1, 11):
         f, g = (
-            HurwitzSeries(_CountedRing(), W32, [_Counted(RING.sample(rng)) for _ in range(n)])
+            constrained_series(_CountedRing(), W32, _Counted(RING.sample(rng)), n)
             for _ in range(2)
         )
         _Counted.products = 0
         fg = f * g
-        assert _Counted.products == n
+        assert _Counted.products == 1
+        fc, gc = f.coeffs, g.coeffs
         _Counted.products = 0
-        assert fg.coeffs == hurwitz_product_reference(f, g).coeffs
+        assert fg.coeffs == hurwitz_product_reference(fc, gc, W32)
         assert _Counted.products == n * (n + 1) * (n + 2) // 6
 
 
 # carrier operations of check_axioms(..., samples=20, seed=0) on the
 # constrained model; storing the whole sigma tuple of the window took
-# 15,480 at window 8 and 121,880 at window 64
-_AXIOM_CARRIER_OPS = 2_340
+# 15,480 at window 8 and 121,880 at window 64, and its head up to the last
+# entry that may be nonzero 2,340 at either
+_AXIOM_CARRIER_OPS = 1_200
 
 
 @pytest.mark.parametrize("window", [8, 64])
 def test_constrained_axiom_suite_carrier_ops_do_not_grow_with_the_window(window):
-    # a constrained series keeps a one-entry head, so the work is O(support)
+    # a constrained series keeps its one sigma-entry, so the work is O(1)
     _Counted.ops = 0
     report = check_axioms(HurwitzConstrainedModel(_CountedRing(), W32, window=window), 20, 0)
     report.pop("notes")
     assert all(report.values()), report
     assert _Counted.ops == _AXIOM_CARRIER_OPS
-
-
-def test_model_arithmetic_makes_no_coordinate_conversion(monkeypatch):
-    # samples are built in sigma-coordinates and every operation stays there
-    def refuse(*args):
-        raise AssertionError("sigma-coordinate conversion")
-
-    monkeypatch.setattr(models, "_to_sigma", refuse)
-    monkeypatch.setattr(models, "_from_sigma", refuse)
-    model = HurwitzConstrainedModel(RING, W32, window=8)
-    report = check_axioms(model, samples=20)
-    report.pop("notes")
-    assert all(report.values()), report
-    rng = random.Random(70)
-    f = P("(L+1)/(L^2-2)*d(x*p(y)) + p(x)*p(y) - L*x*d(d(y))")
-    value = evaluate_in_model(f, model, {"x": model.sample(rng), "y": model.sample(rng)})
-    assert value.window == 6
 
 
 def test_weight_mismatch():
@@ -497,8 +404,9 @@ def test_constrained_hurwitz_model_is_the_degenerate_model(weight):
         h = evaluate_in_model(
             f, hur, {name: constrained_series(RING, weight, s, 8) for name, s in seeds.items()}
         )
-        assert h.window >= 1
-        assert h.sigma == (v,) + (0,) * (h.window - 1)
+        c = h.coeffs
+        assert c and c[0] == v
+        assert all(c[n] == (-1 / weight) * c[n - 1] for n in range(1, len(c)))
         checked += 1
 
 
@@ -519,8 +427,6 @@ def test_float_weight_refused():
         HurwitzConstrainedModel(RING, 1.5, window=8)
     # the carriers and series refuse a float the same way
     with pytest.raises(TypeError):
-        HurwitzSeries(RING, 0.1, (Fraction(1),))
-    with pytest.raises(TypeError):
         constrained_series(RING, 0.1, 1, 2)
     with pytest.raises(TypeError):
         constrained_series(RING, W32, 0.5, 2)
@@ -531,7 +437,6 @@ def test_float_weight_refused():
     with pytest.raises(TypeError):
         TruncatedPolyRing(2).coerce(0.1)
     # exact weights of every other kind are accepted
-    assert HurwitzSeries(RING, "0.1", (Fraction(1),)).weight == Fraction(1, 10)
     assert constrained_series(RING, "0.1", 1, 2).coeffs == (1, -10)
     assert RING.coerce("0.1") == Fraction(1, 10)
     assert TruncatedPoly(("0.1", 2)).coeffs == (Fraction(1, 10), 2)

@@ -171,6 +171,44 @@ def test_benchmark_tracer_installs():
     assert metrics["terms.words_built"] <= 1510
 
 
+# one untimed round of every workload at seed 1, with sys.path set as
+# perfbench/worker.py sets it: the script's directory, then src/ first and
+# the oracles in tests/ last
+_WORKLOAD_ROUND = """
+import json, sys, time
+from contextlib import nullcontext
+from pathlib import Path
+
+root = Path(sys.argv[1])
+sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+sys.path.append(str(root / "tests"))
+from workloads import WORKLOADS, Calls
+
+out = {}
+for name, workload in WORKLOADS.items():
+    inputs = workload.inputs(1)
+    calls = Calls(nullcontext, clock=time.perf_counter)
+    outputs = workload.run(inputs, calls)
+    out[name] = [calls.errors, *workload.check(inputs, outputs, 1)]
+print(json.dumps(out))
+"""
+
+
+def test_benchmark_workloads_pass_their_own_checks():
+    # the workloads import the models and tests/oracles.py, so a bad edit to
+    # either fails every benchmark round; this reads perfbench/ only
+    proc = subprocess.run(
+        [sys.executable, "-c", _WORKLOAD_ROUND, str(ROOT)],
+        capture_output=True, text=True, cwd=ROOT, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout)
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"]
+    assert set(results) == {w["name"] for w in declared}
+    for name, (errors, failed, notes) in results.items():
+        assert (errors, failed) == ([], 0), (name, errors, notes)
+
+
 def _module_containers():
     """(module, name) -> size of each module-level dict, list or set in opalg."""
     sizes = {}
