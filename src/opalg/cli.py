@@ -15,7 +15,7 @@ import json
 import re
 import sys
 
-from .coeff import BoundExceeded, Scalar, exact_fraction, exact_weight
+from .coeff import BoundExceeded, Scalar, exact_weight
 from .gsbases import (
     PRESETS,
     TheoryPreset,
@@ -29,7 +29,6 @@ from .models import (
     HurwitzConstrainedModel,
     RationalRing,
     check_axioms,
-    constrained_series,
     evaluate_in_model,
 )
 from .poly import OpPolynomial
@@ -339,13 +338,7 @@ def _cmd_model_eval(args):
             raise ValueError(f"only generators take values, not {name!r}")
         if name in assignment:
             raise ValueError(f"the generator {name!r} is assigned more than once")
-        seed = exact_fraction(value)
-        if args.model == "hurwitz":
-            assignment[name] = constrained_series(
-                model.ring, weight, seed, args.trunc
-            )
-        else:
-            assignment[name] = seed
+        assignment[name] = model.element(value)
     value = evaluate_in_model(f, model, assignment)
     if args.model == "hurwitz":
         if not value.window:
@@ -353,7 +346,7 @@ def _cmd_model_eval(args):
                 f"no reliable entry is left of the --trunc {args.trunc} window "
                 "(each d shifts one out); use a larger --trunc"
             )
-        print(json.dumps([format_scalar(c) for c in value.coeffs]))
+        print(json.dumps([format_scalar(c) for c in model.coeffs(value)]))
     else:
         print(format_scalar(value))
     return 0

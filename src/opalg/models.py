@@ -10,7 +10,10 @@ a polynomial in any model satisfying the rules.
 A carrier is an element type with exact ``+``, ``-``, unary ``-``, ``*``
 and rational ``k * a``, which models and checks use directly, plus a ring
 giving ``zero``, ``one``, ``coerce`` and ``sample``.  Provided are the
-rationals, truncated polynomials Q[t]/(t^K) and Hurwitz series over either.
+rationals and constrained Hurwitz series over them.  The operators d and P
+belong to the models, not to the carriers: ``DegenerateModel`` defines
+d = -(1/w) id and P = -w id, and ``HurwitzConstrainedModel`` applies those
+two to a series' one stored entry.
 
 The Hurwitz model works with sequences f(0), f(1), ... over a base ring,
 multiplied by the binomially weighted convolution
@@ -41,12 +44,13 @@ on it, on the smaller window, and from sigma = id + w*d
 
     (T df)(0) = (Tf(1) - Tf(0)) / w = -f(0) / w,   (T Pf)(0) = -w f(0),
 
-on a window one shorter for d and one longer for P.  The sequence itself,
-f(m) = f(0) (-1/w)^m, is computed only when read.  The constrained algebra
-does not contain the unit, so evaluating polynomials that need the unit in
-this model is rejected.  f -> f(0) maps it isomorphically onto the base
-ring, sending d to -(1/w) id and P to -w id, so the constrained model is
-the degenerate model in other coordinates.
+on a window one shorter for d and one longer for P.  So f -> f(0) maps the
+constrained algebra isomorphically onto the base ring, sending d to
+-(1/w) id and P to -w id: the constrained model is the degenerate model on
+f(0) plus a window, and is written as a subclass of it.  The sequence
+itself, f(m) = f(0) (-1/w)^m, is computed only when read, by the model's
+``coeffs``.  The constrained algebra does not contain the unit, so
+evaluating polynomials that need the unit in this model is rejected.
 """
 
 from __future__ import annotations
@@ -55,28 +59,21 @@ import random
 from fractions import Fraction
 
 from .coeff import InvalidWeight, PoleAtWeight  # re-exported for callers
-from .coeff import exact_fraction, exact_weight
+from .coeff import BoundExceeded, _bits, _check_bits, exact_fraction, exact_weight
+from .syntax import WORD_CAP
 
 __all__ = [
     "RationalRing",
-    "TruncatedPolyRing",
-    "TruncatedPoly",
     "HurwitzSeries",
-    "constrained_series",
     "OperatorModel",
     "DegenerateModel",
     "HurwitzConstrainedModel",
     "LeftMultiplicationModel",
     "check_axioms",
     "evaluate_in_model",
-    "WeightMismatch",
     "NonunitalModel",
     "MissingAssignment",
 ]
-
-
-class WeightMismatch(ValueError):
-    """Operands carry different weights."""
 
 
 class NonunitalModel(ValueError):
@@ -105,79 +102,6 @@ class RationalRing:
         return Fraction(rng.randint(-6, 6), rng.randint(1, 5))
 
 
-class TruncatedPoly:
-    """An element of Q[t]/(t^K): coefficient tuple of fixed length K."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        self.coeffs = tuple(exact_fraction(c) for c in coeffs)
-
-    @classmethod
-    def _of(cls, coeffs):
-        """A polynomial from exact coefficients, which arithmetic on exact
-        coefficients keeps exact, so they are not checked again."""
-        out = object.__new__(cls)
-        out.coeffs = tuple(coeffs)
-        return out
-
-    def __add__(self, other):
-        return self._of(a + b for a, b in zip(self.coeffs, other.coeffs))
-
-    def __sub__(self, other):
-        return self._of(a - b for a, b in zip(self.coeffs, other.coeffs))
-
-    def __neg__(self):
-        return self._of(-a for a in self.coeffs)
-
-    def __mul__(self, other):
-        if isinstance(other, (Fraction, int)):
-            return self._of(a * other for a in self.coeffs)
-        k = len(self.coeffs)
-        out = [Fraction(0)] * k
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if i + j >= k:
-                    break
-                out[i + j] += a * b
-        return self._of(out)
-
-    def __rmul__(self, other):
-        if isinstance(other, (Fraction, int)):
-            return self * other
-        return NotImplemented
-
-    def __eq__(self, other):
-        return isinstance(other, TruncatedPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        return f"TruncatedPoly({list(self.coeffs)})"
-
-
-class TruncatedPolyRing:
-    def __init__(self, length=4):
-        self.length = length
-
-    def zero(self):
-        return TruncatedPoly((Fraction(0),) * self.length)
-
-    def one(self):
-        return TruncatedPoly((Fraction(1),) + (Fraction(0),) * (self.length - 1))
-
-    def coerce(self, x):
-        return self.one() * exact_fraction(x)
-
-    def sample(self, rng):
-        return TruncatedPoly(
-            Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(self.length)
-        )
-
-
 # ---------------------------------------------------------------------------
 # Hurwitz series
 # ---------------------------------------------------------------------------
@@ -185,43 +109,26 @@ class TruncatedPolyRing:
 class HurwitzSeries:
     """A constrained series on a finite reliable window: its one
     sigma-coordinate ``seed`` = f(0) (see the module docstring), past which
-    every sigma-entry is zero.  ``coeffs`` gives the sequence itself."""
+    every sigma-entry is zero.  The operators and the sequence itself come
+    from ``HurwitzConstrainedModel``, which owns the weight."""
 
-    __slots__ = ("ring", "weight", "seed", "window")
+    __slots__ = ("seed", "window")
 
-    def __init__(self, ring, weight, seed, window):
-        # unchecked: constrained_series and the model's zero build series
-        self.ring = ring
-        self.weight = weight
+    def __init__(self, seed, window):
         self.seed = seed
         self.window = window
 
-    @property
-    def coeffs(self):
-        """The entries f(m) = f(0) (-1/w)^m of the window."""
-        r = -1 / self.weight
-        return tuple(r**m * self.seed for m in range(self.window))
-
-    def _check(self, other):
-        if self.weight != other.weight:
-            raise WeightMismatch(f"weights {self.weight} and {other.weight}")
-
-    def _new(self, seed, window):
-        return HurwitzSeries(self.ring, self.weight, seed, window)
-
     def __add__(self, other):
-        self._check(other)
-        return self._new(self.seed + other.seed, min(self.window, other.window))
+        return HurwitzSeries(self.seed + other.seed, min(self.window, other.window))
 
     def __sub__(self, other):
-        self._check(other)
-        return self._new(self.seed - other.seed, min(self.window, other.window))
+        return HurwitzSeries(self.seed - other.seed, min(self.window, other.window))
 
     def __neg__(self):
-        return self._new(-self.seed, self.window)
+        return HurwitzSeries(-self.seed, self.window)
 
     def scale(self, k):
-        return self._new(k * self.seed, self.window)
+        return HurwitzSeries(k * self.seed, self.window)
 
     def __rmul__(self, k):
         # through the attribute, so a wrapper on ``scale`` sees k * series too
@@ -229,46 +136,17 @@ class HurwitzSeries:
 
     def __mul__(self, other):
         """The binomially weighted product, exact on the common window: the
-        product of the sigma-coordinates.  A rational ``k`` on the right
-        scales, as ``k * a`` does."""
-        if isinstance(other, (Fraction, int)):
-            return self.scale(other)
-        self._check(other)
-        return self._new(self.seed * other.seed, min(self.window, other.window))
-
-    def derive(self):
-        """Left shift, -f(0)/w; the reliable window shrinks by one."""
-        return self._new((-1 / self.weight) * self.seed, max(self.window - 1, 0))
-
-    def integrate(self):
-        """Right shift seeded with -w*f(0); the window grows by one entry,
-        unless it is empty: Pf(0) needs f(0)."""
-        if not self.window:
-            return self
-        return self._new(-self.weight * self.seed, self.window + 1)
+        product of the sigma-coordinates."""
+        return HurwitzSeries(self.seed * other.seed, min(self.window, other.window))
 
     def agrees(self, other):
         """Equality on the common reliable window, which must not be empty."""
-        self._check(other)
         if min(self.window, other.window) < 1:
             raise ValueError("the series share no reliable entry to compare")
         return self.seed == other.seed
 
-    def is_zero(self):
-        return not self.window or self.seed == self.ring.zero()
-
     def __repr__(self):
-        return f"HurwitzSeries(w={self.weight}, {list(self.coeffs)})"
-
-
-def constrained_series(ring, weight, seed, window):
-    """The sequence determined by f(n) = -(1/w) f(n-1) from a seed value,
-    which is (seed, 0, ..., 0) in sigma-coordinates."""
-    w = exact_weight(weight)
-    if window < 1:
-        raise ValueError("the window must hold at least one entry")
-    seed = ring.coerce(seed) if isinstance(seed, (int, float, Fraction)) else seed
-    return HurwitzSeries(ring, w, seed, window)
+        return f"HurwitzSeries({self.seed!r}, window={self.window})"
 
 
 # ---------------------------------------------------------------------------
@@ -279,9 +157,9 @@ class OperatorModel:
     """Operators d and P on a carrier, for a nonzero weight.
 
     The carrier's elements bring their own exact arithmetic; the model gives
-    what differs between carriers: ``one``, ``zero``, ``sample``, ``equal``.
-    The base declares ``d`` and ``p`` as ``None``; subclasses give ``name``
-    and define the operators they have.
+    what differs between carriers: ``element``, ``one``, ``zero``,
+    ``sample``, ``equal``.  The base declares ``d`` and ``p`` as ``None``;
+    subclasses give ``name`` and define the operators they have.
     """
 
     has_unit = True
@@ -292,6 +170,10 @@ class OperatorModel:
         self.ring = ring
         self.weight = exact_weight(weight)
 
+    def element(self, x):
+        """The carrier element of an exact rational ``x``."""
+        return self.ring.coerce(x)
+
     def one(self):
         return self.ring.one()
 
@@ -299,7 +181,7 @@ class OperatorModel:
         return self.ring.zero()
 
     def sample(self, rng):
-        return self.ring.sample(rng)
+        return self.element(self.ring.sample(rng))
 
     def equal(self, a, b):
         return a == b
@@ -331,14 +213,16 @@ class LeftMultiplicationModel(OperatorModel):
         return self.a * x
 
 
-class HurwitzConstrainedModel(OperatorModel):
+class HurwitzConstrainedModel(DegenerateModel):
     """The constrained sequences with the shift as d and the weighted
     right shift as P, under the full binomial product.  Nonunital.
 
     A constrained series is (f(0), 0, ..., 0) in sigma-coordinates, and
     f -> f(0) carries this model onto ``DegenerateModel`` over the base
-    ring, so it adds no evidence beyond that model: independence checks
-    (rank certificates for a linear basis) need other sigma-based models.
+    ring: d and P are that model's, applied to f(0), with the window one
+    shorter for d and one longer for P.  So it adds no evidence beyond that
+    model: independence checks (rank certificates for a linear basis) need
+    other sigma-based models.
     """
 
     name = "hurwitz"
@@ -350,25 +234,36 @@ class HurwitzConstrainedModel(OperatorModel):
             raise ValueError("the window must hold at least one entry")
         self.window = window
 
+    def element(self, x):
+        """The constrained series with f(0) = x on the model's window."""
+        return HurwitzSeries(self.ring.coerce(x), self.window)
+
     def one(self):
         raise NonunitalModel("the constrained sequence algebra has no unit")
 
     def zero(self):
-        return HurwitzSeries(self.ring, self.weight, self.ring.zero(), self.window)
+        return HurwitzSeries(self.ring.zero(), self.window)
 
     def d(self, a):
-        return a.derive()
+        return HurwitzSeries(super().d(a.seed), max(a.window - 1, 0))
 
     def p(self, a):
-        return a.integrate()
-
-    def sample(self, rng):
-        return constrained_series(
-            self.ring, self.weight, self.ring.sample(rng), self.window
-        )
+        if not a.window:  # Pf(0) needs f(0)
+            return a
+        return HurwitzSeries(super().p(a.seed), a.window + 1)
 
     def equal(self, a, b):
         return a.agrees(b)
+
+    def coeffs(self, a):
+        """The entries f(m) = f(0) (-1/w)^m of a's window.  Refused before
+        any is computed past WORD_CAP entries, or where (-1/w)^m would be
+        refused as a typed power of the weight (``Scalar.specialize``)."""
+        if a.window > WORD_CAP:
+            raise BoundExceeded(f"a window of {a.window} entries, more than {WORD_CAP}")
+        r = -1 / self.weight
+        _check_bits((a.window - 1) * _bits(r))
+        return tuple(r**m * a.seed for m in range(a.window))
 
 
 # ---------------------------------------------------------------------------

@@ -601,6 +601,14 @@ _LONG_PRODUCT = "*".join(["2^8000"] * (_DIGITS // 2400 + 2))
         (["hurwitz-check", "--lambda", "1e10000000", "--samples", "1"], "digits"),
         (["nf", "--theory", "rb", "--lambda", "7" * 5000, "p(x)"], "digits"),
         (["model-eval", "--assign", "x=1e1000000", "x"], "digits"),
+        # a Hurwitz window to print is bounded before any entry is computed:
+        # in length, and in the power of the weight its last entry needs
+        (["model-eval", "x", "--model", "hurwitz", "--trunc", "5000", "--lambda", "3/2",
+          "--assign", "x=1"], "about 9998 bits"),
+        (["model-eval", "x", "--model", "hurwitz", "--trunc", "1000001", "--lambda", "1",
+          "--assign", "x=1"], "a window of 1000001 entries"),
+        (["model-eval", "p(x)", "--model", "hurwitz", "--trunc", "1000000", "--lambda", "1",
+          "--assign", "x=1"], "a window of 1000001 entries"),
     ],
     ids=lambda v: " ".join(v)[:60] if isinstance(v, list) else v,
 )
