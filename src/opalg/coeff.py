@@ -18,8 +18,8 @@ powers, negation, inversion and powers of monomials are built straight from
 their views, without a polynomial gcd; every other case takes the general
 Q(L) path, where a power raises the coprime numerator and denominator
 apart and needs no gcd either.  A monomial scalar is stored as its view
-alone: its dense ``num``/``den`` are built on first read and its hash on
-first call, so ``L^1000000`` costs no more than ``L``.  Equality, truth and the
+alone: its dense ``num``/``den`` are built on first read, so ``L^1000000``
+costs no more than ``L``.  Equality, truth, hashing and the
 ``is_zero``/``is_one`` tests answer from the view.  Both paths give the same
 canonical ``num``/``den``, hash and view, so no result depends on which path
 built it.
@@ -393,8 +393,9 @@ class Scalar:
 
     def __hash__(self):
         h = self._hash
-        if h is None:
-            h = hash((self.num, self.den))
+        if h is None:  # a monomial's view is canonical on both paths
+            m = self.monomial
+            h = hash(m if m is not None else (self._num, self._den))
             _setattr(self, "_hash", h)
         return h
 

@@ -59,7 +59,7 @@ import random
 from fractions import Fraction
 
 from .coeff import InvalidWeight, PoleAtWeight  # re-exported for callers
-from .coeff import BoundExceeded, _bits, _check_bits, exact_fraction, exact_weight
+from .coeff import BoundExceeded, Scalar, exact_fraction, exact_weight
 from .syntax import WORD_CAP
 
 __all__ = [
@@ -119,9 +119,13 @@ class HurwitzSeries:
         self.window = window
 
     def __add__(self, other):
+        if not isinstance(other, HurwitzSeries):
+            return NotImplemented
         return HurwitzSeries(self.seed + other.seed, min(self.window, other.window))
 
     def __sub__(self, other):
+        if not isinstance(other, HurwitzSeries):
+            return NotImplemented
         return HurwitzSeries(self.seed - other.seed, min(self.window, other.window))
 
     def __neg__(self):
@@ -136,7 +140,9 @@ class HurwitzSeries:
 
     def __mul__(self, other):
         """The binomially weighted product, exact on the common window: the
-        product of the sigma-coordinates."""
+        product of the sigma-coordinates.  A scalar goes on the left."""
+        if not isinstance(other, HurwitzSeries):
+            return NotImplemented
         return HurwitzSeries(self.seed * other.seed, min(self.window, other.window))
 
     def agrees(self, other):
@@ -258,11 +264,13 @@ class HurwitzConstrainedModel(DegenerateModel):
     def coeffs(self, a):
         """The entries f(m) = f(0) (-1/w)^m of a's window.  Refused before
         any is computed past WORD_CAP entries, or where (-1/w)^m would be
-        refused as a typed power of the weight (``Scalar.specialize``)."""
+        refused as a typed power of the weight: as ``L^-m`` is at -w."""
         if a.window > WORD_CAP:
             raise BoundExceeded(f"a window of {a.window} entries, more than {WORD_CAP}")
+        if not a.window:
+            return ()
+        Scalar.lam(1 - a.window).specialize(-self.weight)
         r = -1 / self.weight
-        _check_bits((a.window - 1) * _bits(r))
         return tuple(r**m * a.seed for m in range(a.window))
 
 

@@ -35,7 +35,9 @@ grown by one level takes its context key and binding key from the inner
 match rather than rebuilding them, and so does its reduct, the rule's
 right-hand side instantiated in the context: each word of the inner reduct
 is wrapped in the operator beside the sibling, built as one word.  A reduct
-is built on first use and kept with the match.
+is built on first use and kept with the match.  Reduction is one loop
+(``_reduce``): ``normal_form`` runs it until no rule matches, and
+``reduce_once`` takes its first step.
 """
 
 from __future__ import annotations
@@ -523,60 +525,27 @@ def is_irreducible(word, rules):
 # reduction
 # ---------------------------------------------------------------------------
 
-def reduce_once(f, rules, strategy="leading", rng=None):
-    """Apply one rewrite; returns (polynomial, step or None).  The candidates
-    are every match of every rule in every word of f, words descending, then
-    rules, then ``match_rule`` order: ``leading`` takes the first, and
-    ``random`` draws one with rng, ``random.Random(0)`` if None."""
-    if strategy not in ("leading", "random"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    candidates = [(w, m) for w, _ in f.terms_desc() for r in rules for m in match_rule(w, r)]
-    if not candidates:
-        return f, None
-    i = 0
-    if strategy == "random":
-        i = (random.Random(0) if rng is None else rng).randrange(len(candidates))
-    word, match = candidates[i]
-    step = Step(match.rule, match.context, match.binding, word, f.coefficient(word))
-    return f - step.polynomial(), step
+def _reduce(terms, rules, strategy, rng=None, seed=0):
+    """Rewrite the polynomial held in ``terms`` (word -> scalar) in place
+    until no rule matches, yielding (redex, match, coefficient) per step.
 
-
-def normal_form(
-    f,
-    rules,
-    strategy="leading",
-    seed=0,
-    step_limit=DEFAULT_STEP_LIMIT,
-    collect_steps=False,
-):
-    """Reduce to a fixed point of reduce_once, taking the steps it takes.
-
-    ``terms`` is the whole current polynomial and ``open_`` its words not
-    yet known to be irreducible, ascending, so no step rebuilds or re-sorts
-    the polynomial.  The ``leading`` strategy rewrites the greatest open word
-    by the first match of the first rule that matches, dropping open words
-    that no rule matches (cf. Monagan & Pearce, "Sparse polynomial division
-    using a heap", JSC 2011); it reads only the first match of each word's
-    stream.  The ``random`` strategy draws one match among every match of
-    every open word, in ``reduce_once``'s candidate order (words descending,
-    then rules, then matches), keeping each word's match list in ``found``.
-
-    Termination is guaranteed for order-compatible rules because each step
-    strictly lowers the replaced word; the step cap is a defence against
-    rule sets that are not, and ``TERM_LIMIT`` against a polynomial that
-    outgrows memory before the steps run out.  A step that adds a word not
-    below its redex raises ``RuleValidationError``.
+    ``open_`` holds the words of ``terms`` not yet known to be irreducible,
+    ascending, so no step rebuilds or re-sorts the polynomial.  The
+    ``leading`` strategy rewrites the greatest open word by the first match
+    of the first rule that matches, dropping open words that no rule matches
+    (cf. Monagan & Pearce, "Sparse polynomial division using a heap", JSC
+    2011); it reads only the first match of each word's stream.  The
+    ``random`` strategy draws with rng, ``random.Random(seed)`` made on the
+    first draw if None, one match among every match of every open word:
+    words descending, then rules, then ``match_rule`` order, each word's
+    list kept in ``found``.  A step that adds a word not below its redex
+    raises ``RuleValidationError``; ``TERM_LIMIT`` guards against a
+    polynomial that outgrows memory before the steps run out.
     """
     if strategy not in ("leading", "random"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    if step_limit < 0:
-        raise ValueError("the step limit must not be negative")
-    rng = None  # the random strategy's generator, seeded on its first draw
-    terms = dict(f.items())
     open_ = sorted(terms, key=_key)
     found = {}
-    steps = []
-    count = 0
     while True:
         if strategy == "leading":
             match = None
@@ -588,7 +557,7 @@ def normal_form(
                 else:
                     open_.pop()
             if match is None:
-                break
+                return
             word = open_.pop()
         else:
             reducible = []
@@ -602,7 +571,7 @@ def normal_form(
                     total += len(ms)
             open_ = reducible
             if not total:
-                break
+                return
             if rng is None:
                 rng = random.Random(seed)
             r = rng.randrange(total)
@@ -634,9 +603,39 @@ def normal_form(
                 i = bisect.bisect_left(open_, w.key, key=_key)
                 if i < len(open_) and open_[i] == w:
                     del open_[i]
+        yield word, match, c
+
+
+def reduce_once(f, rules, strategy="leading", rng=None):
+    """The first step of ``normal_form``'s loop; returns (polynomial, step
+    or None).  ``random`` draws with rng, ``random.Random(0)`` if None."""
+    terms = dict(f.items())
+    for word, match, c in _reduce(terms, rules, strategy, rng):
+        return OpPolynomial(terms), Step(match.rule, match.context, match.binding, word, c)
+    return f, None
+
+
+def normal_form(
+    f,
+    rules,
+    strategy="leading",
+    seed=0,
+    step_limit=DEFAULT_STEP_LIMIT,
+    collect_steps=False,
+):
+    """Reduce f until no rule matches, by ``_reduce`` with the random
+    strategy's generator seeded with seed.  Each step strictly lowers its
+    redex, so order-compatible rules terminate; the step cap is a defence
+    against rule sets that are not.  A step not below its redex raises
+    ``RuleValidationError``, a polynomial past ``TERM_LIMIT`` terms
+    ``TermLimitExceeded``."""
+    if step_limit < 0:
+        raise ValueError("the step limit must not be negative")
+    terms = dict(f.items())
+    steps = []
+    for count, (word, match, c) in enumerate(_reduce(terms, rules, strategy, seed=seed), 1):
         if collect_steps:
             steps.append(Step(match.rule, match.context, match.binding, word, c))
-        count += 1
         if count > step_limit:
             raise StepLimitExceeded(f"no normal form within {step_limit} steps")
     return NFResult(OpPolynomial(terms), tuple(steps))

@@ -10,7 +10,7 @@ engine stores.  The reference parser builds a whole polynomial for every
 atom and combines them with polynomial arithmetic rather than gathering
 each term's factors.  The test suite pins engine outputs against these.
 
-There are three exceptions, slow paths the engine replaced and kept as the
+There are four exceptions, slow paths the engine replaced and kept as the
 references the replacements must reproduce exactly.
 ``enumerate_irr_reference`` is the engine's own matcher run over every
 word, which the pruned enumerator replaced.  ``match_rule_reference``
@@ -22,7 +22,11 @@ the structural, memoised ``match_rule`` replaced the walk.
 generator pass each, and ``reduct_reference`` and ``substitute_reference``
 build a rewrite's words through the rule instance and the singleton word
 op(w) at every level; the engine replaced them by one loop per word and by
-building each word straight into its context.
+building each word straight into its context.  ``reduce_once_reference``
+is one rewrite step read off its definition: it lists every match of every
+rule in every word and subtracts the step's polynomial, where the engine's
+one reduction loop reads no more matches than it needs and updates its
+terms in place.
 
 ``nf_batch_texts`` is not an oracle: it rebuilds the benchmark's nf-batch
 corpus, which the work-count pins of several test modules share.
@@ -38,7 +42,7 @@ from opalg import coeff
 from opalg.coeff import Scalar
 from opalg.gsbases import enumerate_words, preset
 from opalg.poly import OpPolynomial
-from opalg.rewrite import Match, is_irreducible
+from opalg.rewrite import Match, Step, is_irreducible, match_rule
 from opalg.sampling import random_polynomial
 from opalg.syntax import DEFAULT_OPERATORS, ParseError, _tokenize, format_polynomial
 from opalg.terms import OP_D, OP_P, Context, Word, _tuple_subtract, substitute_letters
@@ -495,6 +499,28 @@ def reduct_reference(match):
         substitute_reference(match.context, substitute_letters(w0, match.binding))
         for w0 in match.rule.rhs.monomials()
     )
+
+
+# ---------------------------------------------------------------------------
+# one rewrite step read off its definition
+# ---------------------------------------------------------------------------
+
+def reduce_once_reference(f, rules, strategy="leading", rng=None):
+    """Apply one rewrite; returns (polynomial, step or None).  The candidates
+    are every match of every rule in every word of f, words descending, then
+    rules, then ``match_rule`` order: ``leading`` takes the first, and
+    ``random`` draws one with rng, ``random.Random(0)`` if None."""
+    if strategy not in ("leading", "random"):
+        raise ValueError(f"unknown strategy {strategy!r}")
+    candidates = [(w, m) for w, _ in f.terms_desc() for r in rules for m in match_rule(w, r)]
+    if not candidates:
+        return f, None
+    i = 0
+    if strategy == "random":
+        i = (random.Random(0) if rng is None else rng).randrange(len(candidates))
+    word, match = candidates[i]
+    step = Step(match.rule, match.context, match.binding, word, f.coefficient(word))
+    return f - step.polynomial(), step
 
 
 def nf_batch_texts(seed):

@@ -1,4 +1,5 @@
 import copy
+import json
 import math
 import pickle
 import random
@@ -163,7 +164,9 @@ def _view_by_scan(s):
 def _assert_same(got, ref):
     assert got.num == ref.num and got.den == ref.den
     assert all(type(c) is Fraction for c in got.num + got.den)
-    assert hash(got) == hash(ref) == hash((ref.num, ref.den))
+    # a monomial hashes its view, any other value its dense form
+    view = ref.monomial
+    assert hash(got) == hash(ref) == hash(view if view is not None else (ref.num, ref.den))
     assert got.monomial == ref.monomial == _view_by_scan(ref)
     _assert_canonical_view(got)
 
@@ -333,21 +336,42 @@ def test_huge_powers_of_the_weight_stay_views():
     values = [big, big * big, half * big, big**3, big**-2, big.inverse(), -big, big + big]
     for s in values:
         assert _is_lazy(s) and s.is_zero() is False and s != ONE
+        hash(s)
     assert big * big == Scalar.lam(2 * 10**6) and big**3 == Scalar.lam(3 * 10**6)
+    assert hash(big * big) == hash(Scalar.lam(2 * 10**6))
     assert (big * big.inverse()).is_one()
     assert big.specialize(-1) == 1 and (half * big**-2).specialize(1) == Fraction(1, 2)
     assert all(_is_lazy(s) for s in values)
 
 
+def _refuse_densify(self):
+    raise AssertionError(f"dense form built for L^{self.monomial[1]}")
+
+
 def test_nf_of_a_huge_power_of_the_weight_stays_a_view(monkeypatch, capsys):
     from opalg.cli import main
 
-    def refuse(self):
-        raise AssertionError(f"dense form built for L^{self.monomial[1]}")
-
-    monkeypatch.setattr(Scalar, "_densify", refuse)
+    monkeypatch.setattr(Scalar, "_densify", _refuse_densify)
     assert main(["nf", "--theory", "rb", "L^1000000*x"]) == 0
     assert capsys.readouterr().out == "L^1000000*x\n"
+
+
+def test_compose_on_a_huge_power_of_the_weight_stays_a_view(monkeypatch, tmp_path, capsys):
+    # the compositions of a rule are registered by hash, its coefficients too
+    from opalg.cli import main
+
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({
+        "operators": [{"name": "d", "rank": 1}, {"name": "p", "rank": 0}],
+        "generators": ["x", "y"],
+        "rules": [
+            {"name": "collapse", "variables": ["u"], "polynomial": "d(p(u)) - L^1000000*p(u)"}
+        ],
+    }))
+    monkeypatch.setattr(Scalar, "_densify", _refuse_densify)
+    argv = ["compose", "--theory", str(path), "--left", "collapse", "--right", "collapse"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.endswith("trivial\n11 compositions\n")
 
 
 def test_scalar_powers_are_bounded_before_they_are_computed():

@@ -60,6 +60,11 @@ def test_scalar_times_series_goes_through_scale(monkeypatch):
     assert calls == [Fraction(2)]
     assert got.agrees(a + a)
     assert (3 * a).agrees(a + a + a) and calls == [Fraction(2), 3]
+    # a plain number on the other side of *, + or - is no series operand
+    for op in (lambda: a * 3, lambda: a + 3, lambda: a - 3):
+        with pytest.raises(TypeError):
+            op()
+    assert calls == [Fraction(2), 3]
 
 
 def test_hurwitz_product_commutative_associative():

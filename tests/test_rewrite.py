@@ -33,6 +33,7 @@ from oracles import (
     match_rule_reference,
     nf_batch_texts,
     oracle_occurrences,
+    reduce_once_reference,
     reduct_reference,
     substitute_reference,
 )
@@ -244,13 +245,19 @@ def test_rule_validation_rejects_order_incompatible():
 
 
 def _reduce_once_loop(f, rules, strategy="leading", seed=0):
-    """The reference reducer: reduce_once until nothing matches."""
+    """The reference reducer: reduce_once_reference until nothing matches,
+    checking at every polynomial that the library's reduce_once, drawing
+    from a copy of the same generator, takes the same step."""
     rng = random.Random(seed) if strategy == "random" else None
     steps = []
     while True:
-        f, step = reduce_once(f, rules, strategy=strategy, rng=rng)
+        out, lib_step = reduce_once(f, rules, strategy=strategy, rng=copy.copy(rng))
+        f, step = reduce_once_reference(f, rules, strategy=strategy, rng=rng)
+        assert out == f
         if step is None:
+            assert lib_step is None
             return f, steps
+        assert _step_keys([lib_step]) == _step_keys([step])
         steps.append(step)
 
 
@@ -318,6 +325,8 @@ def test_normal_form_rejects_step_above_redex():
     for strategy in ("leading", "random"):
         with pytest.raises(RuleValidationError):
             normal_form(f, (_order_incompatible_rule(),), strategy=strategy, step_limit=2_000)
+        with pytest.raises(RuleValidationError):
+            reduce_once(f, (_order_incompatible_rule(),), strategy=strategy)
 
 
 def test_normal_form_rejects_unknown_strategy():

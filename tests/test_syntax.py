@@ -167,7 +167,8 @@ def _count_fractions(monkeypatch, run):
 def test_fraction_counts_on_the_verify_plan(monkeypatch):
     """Integral coefficients stay ints: 12,971 Fractions when every view held
     one.  The rules are built afresh, so no earlier test has densified their
-    coefficients; the 20 left are dense forms built for polynomial hashes."""
+    coefficients; the 20 dense forms once built for polynomial hashes are
+    gone too, as a monomial hashes its view."""
     presets = gsbases._build_presets()
     plan = (("rb", VerifyConfig(1, 1, True)), ("d", VerifyConfig(1, 1, True)),
             ("drb", VerifyConfig(1, 1, False)))
@@ -176,7 +177,7 @@ def test_fraction_counts_on_the_verify_plan(monkeypatch):
         for name, cfg in plan:
             verify_gs(presets[name], cfg)
 
-    assert _count_fractions(monkeypatch, run) == 20
+    assert _count_fractions(monkeypatch, run) == 0
 
 
 def test_fraction_counts_on_nf_batch_corpus(monkeypatch):
@@ -192,6 +193,10 @@ def test_fraction_counts_on_nf_batch_corpus(monkeypatch):
                 f = parse_polynomial(text)
                 format_polynomial(normal_form(f, theory.rules, strategy=strategy, seed=i).poly)
 
+    # the parser's one shared L gets its dense form from the first sum that
+    # reads it, in whichever test runs first: read it here, so the pin does
+    # not depend on the order the tests run in
+    syntax._L.num
     assert _count_fractions(monkeypatch, run) == 22379
 
 

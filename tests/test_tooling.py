@@ -73,6 +73,29 @@ def test_cli_reads_numbers_through_coeff():
     assert not found, f"cli.py reads Fraction directly at lines {found}"
 
 
+def test_only_coeff_reads_its_private_names():
+    # a bound or a helper re-derived outside opalg.coeff drifts from the one
+    # the scalar type applies, so other modules ask Scalar instead
+    paths = sorted(SRC.glob("*.py"))
+    assert paths, f"no sources under {SRC}"
+    found = []
+    for path in paths:
+        if path.name == "coeff.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level, node.module) in (
+                (1, "coeff"), (0, "opalg.coeff")
+            ):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "coeff":
+                names = [node.attr]
+            else:
+                continue
+            found.extend(f"{path.name}:{node.lineno} {n}" for n in names if n.startswith("_"))
+    assert not found, f"modules read private names of opalg.coeff: {found}"
+
+
 def test_immutable_classes_define_reduce():
     # the default copy and pickle restore slots through __setattr__, so a class
     # whose __setattr__ raises must rebuild itself through __reduce__
