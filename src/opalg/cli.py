@@ -205,11 +205,12 @@ def _cmd_nf(args):
     if weight is not None:
         nf = _specialized(nf, weight)
     if args.json:
-        payload = {
-            "input": format_polynomial(f),
-            "normal_form": format_polynomial(nf),
-            "steps": _steps_json(f, res.steps),
-        }
+        payload = {"input": format_polynomial(f), "normal_form": format_polynomial(nf)}
+        if weight is not None:
+            # the steps stay over Q(L): the normal form is their last
+            # polynomial at this weight
+            payload["weight"] = str(weight)
+        payload["steps"] = _steps_json(f, res.steps)
         print(json.dumps(payload, indent=2))
     else:
         # everything is formatted before anything is printed, so a refused

@@ -399,8 +399,9 @@ class _Stream(list):
     level, which keeps their order.  ``_heap`` (None until the top level is
     spent) holds one entry per argument that matches, its next match and
     the position after it; the entry taken last (``_last``) is refilled
-    only when the next match is asked for.  The slots are set by the first
-    read; every rule that does not match a word shares the empty ``_NONE``.
+    only when the next match is asked for.  A stream is made only for a
+    word that some match lies in; every rule that matches nothing in a word
+    shares the empty ``_NONE``.
     """
 
     __slots__ = ("_top", "_heap", "_last")
@@ -419,13 +420,57 @@ def _stream(m, rule, pattern):
         object.__setattr__(m, "_memo", memo)
     stream = memo.get(rule)
     if stream is None:
-        stream = _Stream()
-        if not _grow(stream, m, rule, pattern):
-            stream = _NONE
+        stream = _first_read(m, rule, pattern)
         # a table clear inside the recursion drops memo from m, so the
         # entry is then not kept
         memo[rule] = stream
     return stream
+
+
+def _first_read(m, rule, pattern):
+    """A new stream holding the least match of pattern in m, or ``_NONE``,
+    found before any stream is made: the top level's least match, else the
+    least of the distinct arguments' least matches."""
+    found = _match_at_level(pattern, m)
+    heap = None if found else _argument_heap(m, rule, pattern)
+    if not found and not heap:
+        return _NONE
+    stream = _Stream()
+    stream._heap = heap
+    stream._last = None
+    stream._top = len(found) > 1
+    if not found:
+        _grow(stream, m, rule, pattern)
+    else:
+        if stream._top:
+            ops = m.ops
+            used = min({u for _, u in found}, key=lambda u: _cofactor_key(ops, u))
+            found = [(min((b for b, u in found if u == used), key=_binding_key), used)]
+        _append_top(stream, m, rule, pattern, found)
+    return stream
+
+
+def _append_top(stream, m, rule, pattern, found):
+    """Append to stream the top-level matches of the (binding, used) pairs
+    found, in their order."""
+    letters = _tuple_subtract(m.letters, pattern[0])
+    for binding, used in found:
+        stream.append(Match(rule, Context.top(Word(letters, _unused(m.ops, used))), binding))
+
+
+def _argument_heap(m, rule, pattern):
+    """The heap of the least match, wrapped, of each distinct argument of m
+    that pattern matches in, with its stream and the position after it."""
+    heap = []
+    ops = m.ops
+    for i, f in enumerate(ops):
+        if not i or f != ops[i - 1]:  # identical factors sit together
+            inner = _stream(f.arg, rule, pattern)
+            if inner:
+                sibling = Word(m.letters, ops[:i] + ops[i + 1:])
+                mt = inner[0].wrap(sibling, f.op)
+                heappush(heap, (mt.key, i, mt, inner, 1, f, sibling))
+    return heap
 
 
 def _grow(stream, m, rule, pattern):
@@ -434,33 +479,16 @@ def _grow(stream, m, rule, pattern):
     their cofactors without building them (they share their letters), then
     by their bindings.  ``_assign_ops`` never passes over a free factor for
     a later identical one, so distinct masks leave distinct cofactors."""
-    ops = m.ops
-    if not stream or stream._top:
+    if stream._top:
+        stream._top = False
+        ops = m.ops
         found = _match_at_level(pattern, m)
-        if stream:
-            found.sort(key=lambda c: (_cofactor_key(ops, c[1]), _binding_key(c[0])))
-            del found[0]
-        else:
-            stream._heap = stream._last = None
-        stream._top = not stream and len(found) > 1
-        if stream._top:
-            used = min({u for _, u in found}, key=lambda u: _cofactor_key(ops, u))
-            found = [(min((b for b, u in found if u == used), key=_binding_key), used)]
-        if found:
-            letters = _tuple_subtract(m.letters, pattern[0])
-            for binding, used in found:
-                stream.append(Match(rule, Context.top(Word(letters, _unused(ops, used))), binding))
-            return True
+        found.sort(key=lambda c: (_cofactor_key(ops, c[1]), _binding_key(c[0])))
+        _append_top(stream, m, rule, pattern, found[1:])
+        return True
     heap = stream._heap
     if heap is None:
-        heap = stream._heap = []
-        for i, f in enumerate(ops):
-            if not i or f != ops[i - 1]:  # identical factors sit together
-                inner = _stream(f.arg, rule, pattern)
-                if inner:
-                    sibling = Word(m.letters, ops[:i] + ops[i + 1:])
-                    mt = inner[0].wrap(sibling, f.op)
-                    heappush(heap, (mt.key, i, mt, inner, 1, f, sibling))
+        heap = stream._heap = _argument_heap(m, rule, pattern)
     last = stream._last
     if last is not None:
         _, i, _, inner, n, f, sibling = last

@@ -1,4 +1,3 @@
-import hashlib
 import json
 import os
 import random
@@ -6,6 +5,7 @@ import shlex
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -18,7 +18,7 @@ from opalg.cli import (
     parse_polynomial,
     parse_word,
 )
-from opalg import cli, rewrite
+from opalg import cli, rewrite, syntax
 from opalg.coeff import Scalar
 from opalg.gsbases import PRESETS, broken_rb
 from opalg.poly import OpPolynomial
@@ -26,6 +26,7 @@ from opalg.rewrite import RuleValidationError, find_occurrences, is_irreducible
 from opalg.sampling import random_polynomial
 from opalg.terms import OP_D, OP_P, Word
 
+from golden import regen as golden
 from schema_check import validate as validate_schema
 
 
@@ -138,6 +139,18 @@ def test_cli_nf_trace_json(capsys):
         for prev, step in zip(steps, steps[1:]):
             assert prev["after"] == step["before"]
         assert steps[-1]["after"] == payload["normal_form"]
+    assert "weight" not in payload
+    # with a weight the steps stay over Q(L), and the normal form is the
+    # last polynomial at that weight
+    code, out, _ = _run(capsys, ["nf", "--theory", "rb", "--json", "--lambda", "-2/3", "p(x)*p(y)"])
+    assert code == 0
+    payload = json.loads(out)
+    validate_schema("nf_result", payload)
+    assert payload["weight"] == "-2/3"
+    last = payload["steps"][-1]["after"]
+    assert "L" in last
+    at_weight = cli._specialized(parse_polynomial(last), Fraction(payload["weight"]))
+    assert format_polynomial(at_weight) == payload["normal_form"]
 
 
 # stdout of the engine that kept the polynomial before and after every step
@@ -330,16 +343,6 @@ GOLDEN_RB_RANDOM_JSON = r'''{
 '''
 
 
-# computed with every coefficient of a monomial view held as a Fraction
-VERIFY_JSON_SHA256 = "fbd676dbe5786ae7a5f4aabb6b11bf16a30b2cc046365f6adf1d573544a95ebb"
-NF_JSON_TRACE_SHA256 = "f424accef285e9778789cb035a4a42fb0c69df78b9635801364ed4cd1512f222"
-# computed while the reports of a rule pair were also deduplicated by key
-VERIFY_COMPLETIONS_JSON_SHA256 = "9348f13deb4c991f5e34c6cb160d2c6fac60417ba671fbfb59b86e1b931e7433"
-COMPOSE_JSON_SHA256 = "247eb9a525245e24eb14de093820188227d4d49c9abb63e0c7f93e98df6f351e"
-# computed while a Hurwitz series was stored as the head of its sigma-transform
-HURWITZ_MODEL_SHA256 = "2195c92ed0ce37be0fb11eb0e229ad485746bc0e94d1d05bdcc2c557b82168b1"
-
-
 def test_cli_nf_golden_json(capsys):
     code, out, _ = _run(capsys, ["nf", "--theory", "drb", "--json", "d(p(x))*y*p(p(y))"])
     assert code == 0 and out == GOLDEN_DRB_JSON
@@ -358,99 +361,27 @@ def test_cli_nf_golden_random_json(capsys):
     assert code == 0 and out == GOLDEN_RB_RANDOM_JSON
 
 
-def _cli_digest(capsys, argvs):
-    """sha256 over each command's argv, exit code, stdout and stderr."""
-    h = hashlib.sha256()
-    for argv in argvs:
-        h.update(repr((argv, *_run(capsys, argv))).encode())
-    return h.hexdigest()
+def test_cli_golden_corpus():
+    # every line of tests/golden/cli.jsonl: the argv's exit code and the
+    # sha256 of its argv, exit code, stdout and stderr
+    lines = golden.load()
+    assert len(lines) >= 214
+    changed = golden.mismatches(lines)
+    assert not changed, "changed output:\n" + "\n".join(map(shlex.join, changed))
 
 
-def test_cli_verify_json_is_byte_identical(capsys):
-    # rb passes, d and drb fail: exit codes 0, 1, 1, with and without unit
-    argvs = [
-        ["verify", "--theory", name, "--depth", "1", "--cofactors", "1", "--json", *unit]
-        for name in ("rb", "d", "drb")
-        for unit in ((), ("--with-unit",))
+def test_cli_golden_corpus_names_each_changed_argv(monkeypatch):
+    # with a coefficient printed one space wider, the checker names lines
+    # whose command prints a step coefficient or a model value, and no
+    # others; the quick subcommands alone keep the test short
+    lines = [
+        line for line in golden.load() if line["argv"][0] in ("nf", "model-eval", "cmp", "irr")
     ]
-    assert _cli_digest(capsys, argvs) == VERIFY_JSON_SHA256
-
-
-def test_cli_verify_json_completions_are_byte_identical(capsys):
-    # the completions pass and d+d1 fails, with and without unit
-    argvs = [
-        ["verify", "--theory", name, "--depth", "1", "--cofactors", "1", "--json", *unit]
-        for name in ("d-gs", "drb-gs", "d+d1")
-        for unit in ((), ("--with-unit",))
-    ]
-    assert _cli_digest(capsys, argvs) == VERIFY_COMPLETIONS_JSON_SHA256
-
-
-def test_cli_compose_json_is_byte_identical(capsys):
-    # a symmetric pair, whose scenarios ask for some calls again (76 reports),
-    # and a cross pair
-    argvs = [
-        ["compose", "--theory", theory, "--left", left, "--right", right, "--json", "--with-unit"]
-        for theory, left, right in (
-            ("d-gs", "d_leibniz", "d_leibniz"),
-            ("drb", "d_after_p", "p_quasi_idem"),
-        )
-    ]
-    assert _cli_digest(capsys, argvs) == COMPOSE_JSON_SHA256
-
-
-# general Q(L) coefficients beside the monomial ones c·L^k
-_NF_COEFFICIENTS = ("1", "-1", "3", "L", "-L^-1", "1/2", "-2/3*L^2", "(L+1)/(L^2-2)", "(2*L-1)/(L+3)")
-
-
-def _nf_corpus():
-    rng = random.Random(24)
-    texts = [
-        ("drb", "(L+1)/(L^2-2)*x + 1/2*d(x)"),
-        ("d", "1/2*d(x)*d(y) - (L+1)/(L^2-2)*d(d(x))"),
-        ("rb", "(L+1)/(L^2-2)*p(x)*p(y) + 1/2*p(p(x))"),
-    ]
-    for name in ("rb", "d", "drb"):
-        for _ in range(8):
-            f = random_polynomial(rng, 5, ("x", "y"), PRESETS[name].operators)
-            c = rng.choice(_NF_COEFFICIENTS)
-            texts.append((name, f"({c})*({format_polynomial(f)})"))
-    return texts
-
-
-def test_cli_nf_json_trace_is_byte_identical(capsys):
-    argvs = [
-        ["nf", "--theory", name, "--strategy", strategy, "--seed", str(i), "--json", "--trace", text]
-        for i, (name, text) in enumerate(_nf_corpus())
-        for strategy in ("leading", "random")
-    ]
-    assert _cli_digest(capsys, argvs) == NF_JSON_TRACE_SHA256
-
-
-# the Hurwitz model commands, over the window lengths where values run out
-_HURWITZ_POLYNOMIALS = (
-    "x", "x*y", "x - x", "p(x)", "d(x)", "p(d(x))", "d(p(x))", "d(d(d(x)))*y",
-    "p(x)*p(y)", "p(p(x)) + L*p(x)", "p(x*p(y)) + p(p(x)*y) + L*p(x*y)",
-    "d(x*y) - d(x)*y - x*d(y) - L*d(x)*d(y)", "(L+1)/(L^2-2)*d(x*p(y))",
-    "-3/2*x*y^2 + d(y)", "p(d(y))*d(p(x))", "1 + x",
-)
-
-
-def test_cli_hurwitz_model_output_is_byte_identical(capsys):
-    argvs = [
-        ["hurwitz-check", "--lambda", weight, "--trunc", trunc, *json_flag]
-        for weight in ("1", "3/2", "-2/7")
-        for trunc in ("3", "4", "8")
-        for json_flag in ((), ("--json",))
-    ]
-    argvs += [
-        ["model-eval", "--model", "hurwitz", "--lambda", weight, "--trunc", trunc,
-         "--assign", "x=3", "--assign", "y=-1/2", text]
-        for weight in ("3/2", "-2")
-        for trunc in ("1", "2", "4", "8")
-        for text in _HURWITZ_POLYNOMIALS
-    ]
-    assert _cli_digest(capsys, argvs) == HURWITZ_MODEL_SHA256
+    monkeypatch.setattr(cli, "format_scalar", lambda c: syntax.format_scalar(c) + " ")
+    changed = golden.mismatches(lines)
+    assert changed
+    for argv in changed:
+        assert argv[0] == "model-eval" or argv[0] == "nf" and {"--json", "--trace"} & set(argv), argv
 
 
 def test_cli_cmp(capsys):

@@ -1,5 +1,6 @@
 """Repository checks that guard the library source itself."""
 
+import argparse
 import ast
 import importlib
 import json
@@ -294,3 +295,24 @@ def test_every_limit_error_exits_3(monkeypatch, capsys):
         monkeypatch.setattr(cli, "_cmd_cmp", refuse)
         assert cli.main(["cmp", "x", "y"]) == 3, cls.__name__
         assert capsys.readouterr().err == "limit: too large\n"
+
+
+def test_the_golden_corpus_covers_the_cli():
+    # reads tests/golden/cli.jsonl and runs none of it
+    from golden import regen
+    from opalg import cli
+    from opalg.gsbases import PRESETS
+
+    lines = regen.load()
+    argvs = [line["argv"] for line in lines]
+    subparsers = next(
+        a for a in cli._build_argparser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    assert set(subparsers.choices) == {argv[0] for argv in argvs}
+    theories = {argv[i + 1] for argv in argvs for i, a in enumerate(argv[:-1]) if a == "--theory"}
+    # presets only: a rule-set file's path would be printed
+    assert theories == set(PRESETS)
+    assert {0, 1, 2, 3} <= {line["exit"] for line in lines}
+    paths = [argv for argv in argvs if any(os.path.isabs(p) for a in argv for p in a.split("="))]
+    assert not paths, f"argvs that name an absolute path: {paths}"
+    assert len(set(map(tuple, argvs))) == len(argvs), "an argv appears twice"
