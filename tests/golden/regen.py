@@ -3,8 +3,9 @@
 Each line of the corpus is one command: ``{"argv": [...], "exit": N,
 "sha256": ...}``, the digest being the sha256 of
 ``repr((argv, exit_code, stdout, stderr))`` for the argv run through
-``opalg.cli.main`` in-process.  ``tests/test_cli.py::test_cli_golden_corpus``
-checks every line; this script rewrites the digests after a declared output
+``opalg.cli.main`` in-process.  ``tests/test_cli.py`` checks every line (the
+five ``*_is_byte_identical`` tests the five groups the corpus opens with,
+``test_cli_golden_corpus`` the rest); this script rewrites the digests after a declared output
 change and prints each argv whose line changed, one per line:
 
     PYTHONPATH=src python tests/golden/regen.py

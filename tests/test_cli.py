@@ -361,13 +361,77 @@ def test_cli_nf_golden_random_json(capsys):
     assert code == 0 and out == GOLDEN_RB_RANDOM_JSON
 
 
-def test_cli_golden_corpus():
-    # every line of tests/golden/cli.jsonl: the argv's exit code and the
-    # sha256 of its argv, exit code, stdout and stderr
-    lines = golden.load()
-    assert len(lines) >= 214
+# tests/golden/cli.jsonl opens with five groups of argvs, in this order, each
+# once pinned by one whole-list digest; each group's test checks its lines,
+# and test_cli_golden_corpus the lines after them
+_GOLDEN_GROUPS = {"verify": 6, "completions": 6, "compose": 2, "nf": 54, "hurwitz": 146}
+
+
+def _golden_group(name):
+    start = 0
+    for group, size in _GOLDEN_GROUPS.items():
+        if group == name:
+            return golden.load()[start:start + size]
+        start += size
+    raise KeyError(name)
+
+
+def _assert_golden(lines):
+    # each line's exit code and the sha256 of its argv, exit code, stdout
+    # and stderr
     changed = golden.mismatches(lines)
     assert not changed, "changed output:\n" + "\n".join(map(shlex.join, changed))
+
+
+def test_cli_verify_json_is_byte_identical():
+    # rb passes, d and drb fail: exit codes 0, 1, 1, with and without unit
+    lines = _golden_group("verify")
+    assert [line["argv"][2] for line in lines] == ["rb", "rb", "d", "d", "drb", "drb"]
+    assert [line["exit"] for line in lines] == [0, 0, 1, 1, 1, 1]
+    _assert_golden(lines)
+
+
+def test_cli_verify_json_completions_are_byte_identical():
+    # the completions pass and d+d1 fails, with and without unit
+    lines = _golden_group("completions")
+    assert [line["argv"][2] for line in lines] == [
+        "d-gs", "d-gs", "drb-gs", "drb-gs", "d+d1", "d+d1"
+    ]
+    assert [line["exit"] for line in lines] == [0, 0, 0, 0, 1, 1]
+    _assert_golden(lines)
+
+
+def test_cli_compose_json_is_byte_identical():
+    # a symmetric pair, whose scenarios ask for some calls again (76 reports),
+    # and a cross pair
+    lines = _golden_group("compose")
+    assert [line["argv"][:3] for line in lines] == [
+        ["compose", "--theory", "d-gs"], ["compose", "--theory", "drb"]
+    ]
+    _assert_golden(lines)
+
+
+def test_cli_nf_json_trace_is_byte_identical():
+    # general Q(L) coefficients beside the monomial ones, both strategies
+    lines = _golden_group("nf")
+    assert all(line["argv"][0] == "nf" and {"--json", "--trace"} <= set(line["argv"])
+               for line in lines)
+    assert {line["argv"][4] for line in lines} == {"leading", "random"}
+    _assert_golden(lines)
+
+
+def test_cli_hurwitz_model_output_is_byte_identical():
+    # the Hurwitz model commands, over the window lengths where values run out
+    lines = _golden_group("hurwitz")
+    assert [line["argv"][0] for line in lines] == ["hurwitz-check"] * 18 + ["model-eval"] * 128
+    _assert_golden(lines)
+
+
+def test_cli_golden_corpus():
+    # every line after the five groups above
+    lines = golden.load()
+    assert len(lines) > sum(_GOLDEN_GROUPS.values())
+    _assert_golden(lines[sum(_GOLDEN_GROUPS.values()):])
 
 
 def test_cli_golden_corpus_names_each_changed_argv(monkeypatch):
