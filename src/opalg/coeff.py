@@ -68,7 +68,8 @@ def exact_fraction(x):
     it into one would silently make exact arithmetic inexact.  Fractions,
     ints and exact strings such as ``"0.1"`` or ``"-2/7"`` are accepted.
     A string whose numerator or denominator, as written, has more digits
-    than ``sys.get_int_max_str_digits()`` raises ``BoundExceeded`` unbuilt.
+    than ``sys.get_int_max_str_digits()`` raises ``BoundExceeded`` unbuilt,
+    and one whose denominator is zero, such as ``"1/0"``, ``ValueError``.
     """
     if type(x) is Fraction:
         return x
@@ -90,7 +91,10 @@ def exact_fraction(x):
         digits = max(num_d + max(k, 0), den_d, frac_d + max(-k, 0) + 1)
         if limit and digits > limit:
             raise BoundExceeded(f"a number of more than {limit} digits")
-    return Fraction(x)
+    try:
+        return Fraction(x)
+    except ZeroDivisionError:
+        raise ValueError(f"{x!r}: the denominator is zero") from None
 
 
 class InvalidWeight(ValueError):
@@ -210,6 +214,9 @@ class Scalar:
     """
 
     __slots__ = ("_num", "_den", "monomial", "_hash")
+
+    def __new__(cls, num, den=(_F1,)):
+        return object.__new__(_ScalarDraft)
 
     def __init__(self, num, den=(_F1,)):
         num = _trim(tuple(exact_fraction(c) for c in num))
@@ -359,7 +366,7 @@ class Scalar:
         # the powers of a coprime pair are coprime, and of a monic
         # polynomial monic, so the result is canonical with no gcd; and a
         # polynomial of two or more terms keeps two under a power
-        s = object.__new__(Scalar)
+        s = object.__new__(_ScalarDraft)
         _fill(s, _ppow(self._num, n), _ppow(self._den, n), None)
         return s
 
@@ -437,14 +444,21 @@ def _poly_str(cs):
     return out
 
 
+class _ScalarDraft(Scalar):
+    __slots__ = ()
+    __setattr__ = object.__setattr__
+
+
 _setattr = object.__setattr__
 
 
 def _fill(s, num, den, monomial):
-    _setattr(s, "_num", num)
-    _setattr(s, "_den", den)
-    _setattr(s, "monomial", monomial)
-    _setattr(s, "_hash", None)
+    """Fill and freeze s, a new ``_ScalarDraft``."""
+    s._num = num
+    s._den = den
+    s.monomial = monomial
+    s._hash = None
+    s.__class__ = Scalar
 
 
 def _from_monomial(c, k):
@@ -455,7 +469,7 @@ def _from_monomial(c, k):
         return ZERO
     if type(c) is not int and c.denominator == 1:
         c = c.numerator
-    s = object.__new__(Scalar)
+    s = object.__new__(_ScalarDraft)
     _fill(s, None, None, (c, k))
     return s
 

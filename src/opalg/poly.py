@@ -36,15 +36,22 @@ def add_term(terms, word, c):
 class OpPolynomial:
     __slots__ = ("_terms", "_desc", "_hash")
 
+    def __new__(cls, terms=()):
+        return object.__new__(_PolynomialDraft)
+
     def __init__(self, terms=()):
         data = {}
         items = terms.items() if isinstance(terms, dict) else terms
         for word, c in items:
             if c:
                 add_term(data, word, c)
-        object.__setattr__(self, "_terms", data)
-        object.__setattr__(self, "_desc", None)
-        object.__setattr__(self, "_hash", None)
+        self._set(data)
+
+    def _set(self, data):
+        self._terms = data
+        self._desc = None
+        self._hash = None
+        self.__class__ = OpPolynomial
 
     def __setattr__(self, *_):
         raise AttributeError("OpPolynomial is immutable")
@@ -113,8 +120,8 @@ class OpPolynomial:
         data = dict(self._terms)
         for word, c in other._terms.items():
             add_term(data, word, c)
-        out = OpPolynomial(())
-        object.__setattr__(out, "_terms", data)
+        out = object.__new__(_PolynomialDraft)
+        out._set(data)
         return out
 
     def __neg__(self):
@@ -181,6 +188,11 @@ class OpPolynomial:
         from .syntax import format_polynomial  # syntax imports this module
 
         return format_polynomial(self)
+
+
+class _PolynomialDraft(OpPolynomial):
+    __slots__ = ()
+    __setattr__ = object.__setattr__
 
 
 _ZERO = OpPolynomial(())

@@ -105,6 +105,9 @@ class RuleSchema:
 
     __slots__ = ("name", "variables", "varset", "poly", "lhs", "rhs", "pattern", "_hash")
 
+    def __new__(cls, name, variables, poly):
+        return object.__new__(_RuleSchemaDraft)
+
     def __init__(self, name, variables, poly):
         variables = tuple(variables)
         if poly.is_zero():
@@ -132,15 +135,15 @@ class RuleSchema:
             raise RuleValidationError(
                 f"rule {name}: more than one bare variable inside one argument"
             )
-        rhs = OpPolynomial.from_word(lhs) - poly
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "varset", varset)
-        object.__setattr__(self, "poly", poly)
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "pattern", _compile(lhs, varset))
-        object.__setattr__(self, "_hash", hash((name, variables, poly)))
+        self.name = name
+        self.variables = variables
+        self.varset = varset
+        self.poly = poly
+        self.lhs = lhs
+        self.rhs = OpPolynomial.from_word(lhs) - poly
+        self.pattern = _compile(lhs, varset)
+        self._hash = hash((name, variables, poly))
+        self.__class__ = RuleSchema
 
     def __setattr__(self, *_):
         raise AttributeError("RuleSchema is immutable")
@@ -188,6 +191,11 @@ class RuleSchema:
         return f"RuleSchema({self.name})"
 
 
+class _RuleSchemaDraft(RuleSchema):
+    __slots__ = ()
+    __setattr__ = object.__setattr__
+
+
 def _bare_levels(word, varset):
     """The variables standing bare at each level of a pattern, the top first."""
     return [tuple(v for v in word.letters if v in varset)] + [
@@ -207,16 +215,20 @@ class Match:
 
     __slots__ = ("rule", "context", "binding", "key", "_inner", "_reduct")
 
+    def __new__(cls, rule, context, binding):
+        return object.__new__(_MatchDraft)
+
     def __init__(self, rule, context, binding):
         self._set(rule, context, binding, (context.key, _binding_key(binding)), None)
 
     def _set(self, rule, context, binding, key, inner):
-        object.__setattr__(self, "rule", rule)
-        object.__setattr__(self, "context", context)
-        object.__setattr__(self, "binding", binding)
-        object.__setattr__(self, "key", key)
-        object.__setattr__(self, "_inner", inner)
-        object.__setattr__(self, "_reduct", None)
+        self.rule = rule
+        self.context = context
+        self.binding = binding
+        self.key = key
+        self._inner = inner
+        self._reduct = None
+        self.__class__ = Match
 
     def __setattr__(self, *_):
         raise AttributeError("Match is immutable")
@@ -238,7 +250,7 @@ class Match:
     def wrap(self, sibling, op):
         """This match inside op(...), beside the word sibling."""
         context = self.context.wrap(sibling, op)
-        match = object.__new__(Match)
+        match = object.__new__(_MatchDraft)
         match._set(self.rule, context, self.binding, (context.key, self.key[1]), self)
         return match
 
@@ -260,6 +272,11 @@ class Match:
                 reduct = tuple(_beside(sibling, op, w) for w in inner.reduct())
             object.__setattr__(self, "_reduct", reduct)
         return reduct
+
+
+class _MatchDraft(Match):
+    __slots__ = ()
+    __setattr__ = object.__setattr__
 
 
 @dataclass(frozen=True)

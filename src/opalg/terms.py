@@ -57,6 +57,24 @@ the hole by a word and merges its factors into the surrounding level.
 Matches compare contexts by key, so a context's hash is built on its first
 ``hash()``, not with the context.  All values here are immutable and safe
 to share.
+
+Building and freezing
+    Every immutable value class of the package (here, and ``Scalar``,
+    ``OpPolynomial``, ``RuleSchema`` and ``Match``) is built the same way.
+    The class's ``__setattr__`` raises, so a value cannot change once it is
+    out.  Beside it sits a draft: a subclass with ``__slots__ = ()`` whose
+    ``__setattr__`` is ``object.__setattr__`` again.  A constructor makes a
+    draft, fills it with plain slot stores and freezes it with one store
+    to ``__class__``; a plain store costs about a fifth of an
+    ``object.__setattr__`` call.  The draft is a subclass, not a base,
+    because ``Cls(...)`` runs ``Cls.__init__`` only on an instance of Cls:
+    ``__new__`` returns a draft, and ``__init__`` fills and freezes it.
+    The freeze comes before the value is published: a word or application
+    is frozen before ``_intern`` puts it in ``_TABLE``, where any thread
+    may find it, and any other value before its constructor returns it.
+    A draft never escapes.  Only the caches filled after the freeze
+    (``_memo``, ``_hash``, ``_desc``, ``_reduct``, a monomial scalar's
+    ``_num``/``_den``) still go through ``object.__setattr__``.
 """
 
 from __future__ import annotations
@@ -108,9 +126,13 @@ class Operator:
 
     __slots__ = ("name", "rank")
 
+    def __new__(cls, name, rank):
+        return object.__new__(_OperatorDraft)
+
     def __init__(self, name, rank):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "rank", rank)
+        self.name = name
+        self.rank = rank
+        self.__class__ = Operator
 
     def __setattr__(self, *_):
         raise AttributeError("Operator is immutable")
@@ -132,6 +154,11 @@ class Operator:
         return f"Operator({self.name!r}, {self.rank})"
 
 
+class _OperatorDraft(Operator):
+    __slots__ = ()
+    __setattr__ = object.__setattr__
+
+
 #: The standard pair of operators; ``d`` ranks above ``p``.
 OP_D = Operator("d", 1)
 OP_P = Operator("p", 0)
@@ -147,11 +174,12 @@ class OpApp:
         app = _TABLE.get(ident)
         if app is not None:
             return app
-        app = object.__new__(cls)
-        object.__setattr__(app, "op", op)
-        object.__setattr__(app, "arg", arg)
-        object.__setattr__(app, "key", (op.rank, op.name, arg.key))
-        object.__setattr__(app, "_hash", hash((op.rank, op.name, arg._hash)))
+        app = object.__new__(_OpAppDraft)
+        app.op = op
+        app.arg = arg
+        app.key = (op.rank, op.name, arg.key)
+        app._hash = hash((op.rank, op.name, arg._hash))
+        app.__class__ = OpApp
         _intern(ident, app)
         return app
 
@@ -173,6 +201,11 @@ class OpApp:
 
     def __repr__(self):
         return f"OpApp({self.op.name}, {self.arg!r})"
+
+
+class _OpAppDraft(OpApp):
+    __slots__ = ()
+    __setattr__ = object.__setattr__
 
 
 class Word:
@@ -213,18 +246,15 @@ class Word:
             tiers.append((op.rank, op.name))
             args.append(arg.key)
             hashes.append(f._hash)
-        word = object.__new__(cls)
-        object.__setattr__(word, "letters", letters)
-        object.__setattr__(word, "ops", ops)
-        object.__setattr__(word, "op_degree", op_degree)
-        object.__setattr__(word, "letter_degree", letter_degree)
-        object.__setattr__(
-            word,
-            "key",
-            (op_degree, len(ops), tuple(tiers), tuple(args), (len(letters), letters)),
-        )
-        object.__setattr__(word, "_hash", hash(tuple(hashes)))
-        object.__setattr__(word, "_memo", None)
+        word = object.__new__(_WordDraft)
+        word.letters = letters
+        word.ops = ops
+        word.op_degree = op_degree
+        word.letter_degree = letter_degree
+        word.key = (op_degree, len(ops), tuple(tiers), tuple(args), (len(letters), letters))
+        word._hash = hash(tuple(hashes))
+        word._memo = None
+        word.__class__ = Word
         _intern(ident, word)
         return word
 
@@ -341,6 +371,11 @@ class Word:
         return "*".join(parts)
 
 
+class _WordDraft(Word):
+    __slots__ = ()
+    __setattr__ = object.__setattr__
+
+
 _UNIT = Word()
 _UNIT_IDENT = ((), ())
 
@@ -376,6 +411,9 @@ class Context:
 
     __slots__ = ("cofactors", "ops", "key", "_hash")
 
+    def __new__(cls, cofactors, ops):
+        return object.__new__(_ContextDraft)
+
     def __init__(self, cofactors, ops):
         cofactors = tuple(cofactors)
         ops = tuple(ops)
@@ -388,17 +426,18 @@ class Context:
         )
 
     def _set(self, cofactors, ops, key):
-        object.__setattr__(self, "cofactors", cofactors)
-        object.__setattr__(self, "ops", ops)
-        object.__setattr__(self, "key", key)
-        object.__setattr__(self, "_hash", None)
+        self.cofactors = cofactors
+        self.ops = ops
+        self.key = key
+        self._hash = None
+        self.__class__ = Context
 
     def wrap(self, sibling, op):
         """This context one level down: op(self) beside the word sibling.
 
         The key is this context's key grown by one level, not rebuilt.
         """
-        ctx = object.__new__(Context)
+        ctx = object.__new__(_ContextDraft)
         ctx._set(
             (sibling,) + self.cofactors,
             (op,) + self.ops,
@@ -419,7 +458,7 @@ class Context:
     @classmethod
     def top(cls, cofactor):
         """The context with its hole at the top level beside cofactor."""
-        ctx = object.__new__(cls)
+        ctx = object.__new__(_ContextDraft)
         ctx._set((cofactor,), (), ((), (cofactor.key,)))
         return ctx
 
@@ -472,6 +511,11 @@ class Context:
             out = f"{self.ops[i].name}({inner})"
         top = self.cofactors[0]
         return out if top.is_unit() else f"{out}*{top}"
+
+
+class _ContextDraft(Context):
+    __slots__ = ()
+    __setattr__ = object.__setattr__
 
 
 LESS = -1

@@ -115,6 +115,16 @@ def test_float_inputs_refused():
     assert Scalar.lam(-1).specialize(4) == Fraction(1, 4)
 
 
+def test_zero_denominator_named():
+    # Fraction("1/0") raises a ZeroDivisionError whose message is only
+    # "Fraction(1, 0)"; the error names the value as given instead
+    for text in ("1/0", "-3/00"):
+        with pytest.raises(ValueError, match=f"'{text}': the denominator is zero"):
+            coeff.exact_fraction(text)
+    with pytest.raises(ValueError, match="denominator is zero"):
+        Scalar.lam(1).specialize("2/0")
+
+
 # ---------------------------------------------------------------------------
 # the monomial fast path against the general Q(L) path
 # ---------------------------------------------------------------------------

@@ -97,30 +97,106 @@ def test_only_coeff_reads_its_private_names():
     assert not found, f"modules read private names of opalg.coeff: {found}"
 
 
+#: The slots filled after a value is frozen: caches built on first use.
+_LATE_SLOTS = {"_memo", "_hash", "_desc", "_reduct", "_num", "_den"}
+
+
+def _is_object_setattr(node):
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr == "__setattr__"
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "object"
+    )
+
+
+def _assigned(node):
+    """The targets of an assignment statement, else none."""
+    return node.targets if isinstance(node, ast.Assign) else []
+
+
+def _names(node):
+    """The plain names an assignment statement binds."""
+    return [getattr(t, "id", None) for t in _assigned(node)]
+
+
+def _freezes(node):
+    """The name frozen by ``name.__class__ = C``, else None."""
+    for t in _assigned(node):
+        if isinstance(t, ast.Attribute) and t.attr == "__class__":
+            return getattr(t.value, "id", "?")
+    return None
+
+
 def test_immutable_classes_define_reduce():
     # the default copy and pickle restore slots through __setattr__, so a class
-    # whose __setattr__ raises must rebuild itself through __reduce__
+    # whose __setattr__ raises must rebuild itself through __reduce__.  Values
+    # are built in a draft, a subclass with __slots__ = () that binds
+    # __setattr__ back to object.__setattr__, and frozen into an immutable
+    # class by one __class__ store, before _intern publishes them;
+    # object.__setattr__ is then left for the caches filled after the freeze
     paths = sorted(SRC.glob("*.py"))
     assert paths, f"no sources under {SRC}"
-    immutable, found = [], []
+    immutable, drafts, freezes, found = set(), [], [], []
     for path in paths:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        for cls in ast.walk(tree):
-            if not isinstance(cls, ast.ClassDef):
-                continue
-            methods = {
-                node.name: node for node in cls.body if isinstance(node, ast.FunctionDef)
-            }
-            setattr_def = methods.get("__setattr__")
-            if setattr_def is None or not any(
-                isinstance(node, ast.Raise) for node in ast.walk(setattr_def)
+        allowed = set()  # the object.__setattr__ nodes that the rules allow
+        aliases = set()  # module names bound to object.__setattr__
+        for node in tree.body:
+            if _assigned(node) and _is_object_setattr(node.value):
+                aliases.update(_names(node))
+                allowed.add(id(node.value))
+        for node in ast.walk(tree):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, ast.ClassDef):
+                methods = {f.name: f for f in node.body if isinstance(f, ast.FunctionDef)}
+                setattr_def = methods.get("__setattr__")
+                if setattr_def and any(isinstance(n, ast.Raise) for n in ast.walk(setattr_def)):
+                    immutable.add(node.name)
+                    if "__reduce__" not in methods:
+                        found.append(f"{where} {node.name} has no __reduce__")
+                for stmt in node.body:
+                    if _names(stmt) == ["__setattr__"] and _is_object_setattr(stmt.value):
+                        allowed.add(id(stmt.value))
+                        slots = [s.value for s in node.body if _names(s) == ["__slots__"]]
+                        empty = slots and isinstance(slots[0], ast.Tuple) and not slots[0].elts
+                        bases = [getattr(b, "id", None) for b in node.bases]
+                        drafts.append((where, node.name, bases, empty))
+            elif isinstance(node, ast.FunctionDef):
+                frozen_at = {}
+                for n in ast.walk(node):
+                    if _freezes(n):
+                        freezes.append((f"{path.name}:{n.lineno}", n.value))
+                        frozen_at.setdefault(_freezes(n), n.lineno)
+                for n in ast.walk(node):
+                    if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_intern":
+                        value = getattr(n.args[1], "id", None)
+                        if not frozen_at.get(value, n.lineno) < n.lineno:
+                            found.append(f"{path.name}:{n.lineno} publishes {value} unfrozen")
+            elif isinstance(node, ast.Call) and (
+                _is_object_setattr(node.func) or getattr(node.func, "id", None) in aliases
             ):
-                continue
-            immutable.append(cls.name)
-            if "__reduce__" not in methods:
-                found.append(f"{path.name}:{cls.lineno} {cls.name}")
-    assert immutable, "the scan found no immutable class"
-    assert not found, f"immutable classes without __reduce__: {found}"
+                allowed.add(id(node.func))
+                slot = node.args[1] if len(node.args) > 1 else None
+                if not (isinstance(slot, ast.Constant) and slot.value in _LATE_SLOTS):
+                    found.append(f"{where} sets a slot that is not a late cache")
+        found.extend(
+            f"{path.name}:{node.lineno} object.__setattr__ outside a draft or a cache store"
+            for node in ast.walk(tree)
+            if _is_object_setattr(node) and id(node) not in allowed
+        )
+    assert immutable and drafts and freezes, "the scan found no immutable class"
+    found.extend(
+        f"{where} freezes into {getattr(target, 'id', '?')}, not an immutable class"
+        for where, target in freezes
+        if getattr(target, "id", None) not in immutable
+    )
+    for where, name, bases, empty in drafts:
+        if len(bases) != 1 or bases[0] not in immutable:
+            found.append(f"{where} draft {name} is not one immutable class's")
+        if not empty:
+            found.append(f"{where} draft {name} does not set __slots__ = ()")
+    assert not found, f"immutability idiom broken: {found}"
 
 
 def test_every_all_name_exists():
